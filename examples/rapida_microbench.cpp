@@ -11,8 +11,10 @@
 //                     std::unordered_map<TermId, vector<vector<TermId>>>
 //   batch aggregate   insertion-ordered HashIndex aggregation table vs
 //                     std::map<std::string, vector<Aggregator>>
-//   batch tokenize    kernels::TokenizeValues field columns vs per-record
-//                     FieldTokenizer re-scans
+//   triplegroup star filter
+//                     ntga::StarTextFilter on the serialized triplegroup vs
+//                     ParseTripleGroupInto + FilterStarWithFilters +
+//                     SerializeTripleGroupTo
 //
 // With --json, one row per bench is appended (default BENCH_mapreduce.json,
 // overridable via the RAPIDA_BENCH_JSON environment variable or =PATH).
@@ -33,8 +35,9 @@
 #include "engines/relational_ops.h"
 #include "mapreduce/kernels.h"
 #include "mapreduce/record.h"
+#include "ntga/operators.h"
+#include "ntga/triplegroup.h"
 #include "rdf/dictionary.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -223,70 +226,95 @@ BenchResult BenchBatchAggregate(size_t rows, int repeat) {
 }
 
 // ---------------------------------------------------------------------------
-// batch tokenize: materialize field columns for a split's values once vs
-// re-tokenizing each record (both checksum every field byte).
+// triplegroup star filter: the TG_OptGrpFilter step of every NTGA map,
+// parse + FilterStarWithFilters + serialize vs the one-pass text filter
+// (both checksum every emitted byte). The star has a type restriction, two
+// primary variables (one under a pushed FILTER) and a secondary one; the
+// groups carry multi-valued and irrelevant properties.
 
-BenchResult BenchBatchTokenize(size_t rows, int repeat) {
+BenchResult BenchStarFilter(size_t rows, int repeat) {
+  namespace ntga = rapida::ntga;
+  namespace rdf = rapida::rdf;
+  namespace sparql = rapida::sparql;
+  rdf::Dictionary dict;
+  const rdf::TermId type_id = dict.InternIri(rdf::kRdfType);
+  std::vector<rdf::TermId> props, types, ints;
+  for (int i = 0; i < 5; ++i) {
+    props.push_back(dict.InternIri("http://x/p" + std::to_string(i)));
+  }
+  for (int i = 0; i < 3; ++i) {
+    types.push_back(dict.InternIri("http://x/T" + std::to_string(i)));
+  }
+  for (int i = 0; i < 1000; ++i) ints.push_back(dict.InternInt(i));
+
+  ntga::ResolvedStar star;
+  star.subject_var = "s";
+  auto add = [&star](ntga::DataPropKey key, std::string var, bool primary) {
+    star.triples.push_back(ntga::ResolvedStarTriple{key, std::move(var)});
+    (primary ? star.primary : star.secondary).insert(key);
+  };
+  add({type_id, types[0]}, "", true);
+  add({props[0], rdf::kInvalidTermId}, "x", true);
+  add({props[1], rdf::kInvalidTermId}, "y", true);
+  add({props[2], rdf::kInvalidTermId}, "z", false);
+  sparql::ExprPtr filter_expr = sparql::Expr::MakeCompare(
+      "<", sparql::Expr::MakeVar("y"),
+      sparql::Expr::MakeLiteral(rdf::Term::Literal("500", rdf::kXsdInteger)));
+  ntga::PushedFilters pushed;
+  pushed["y"].push_back(filter_expr.get());
+
   std::vector<std::string> values(rows);
   for (size_t i = 0; i < rows; ++i) {
-    std::string v;
-    kernels::AppendDecimal(&v, NextRand() % 100000);
-    int fields = 2 + static_cast<int>(NextRand() % 6);
-    for (int f = 0; f < fields; ++f) {
-      v += ';';
-      kernels::AppendDecimal(&v, NextRand() % 1000);
-      v += ',';
-      kernels::AppendDecimal(&v, NextRand() % 100000);
+    ntga::TripleGroup tg;
+    tg.subject = static_cast<rdf::TermId>(100000 + i);
+    auto add_triple = [&tg](rdf::TermId p, rdf::TermId o) {
+      tg.triples.push_back(rdf::Triple{tg.subject, p, o});
+    };
+    add_triple(type_id, types[NextRand() % types.size()]);
+    for (size_t p = 0; p < props.size(); ++p) {
+      size_t n = NextRand() % 3 + (p < 2 ? 1 : 0);
+      for (size_t k = 0; k < n; ++k) {
+        add_triple(props[p], ints[NextRand() % ints.size()]);
+      }
     }
-    values[i] = std::move(v);
-  }
-  std::vector<rapida::mr::Record> records(rows);
-  std::vector<rapida::mr::TaggedRecord> tagged(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    records[i] = rapida::mr::MakeRecord("", values[i]);
-    tagged[i] = rapida::mr::TaggedRecord{&records[i], 0};
+    values[i] = ntga::SerializeTripleGroup(tg);
   }
 
+  auto checksum = [](const std::string& out) {
+    uint64_t sum = out.size();
+    for (char c : out) sum = sum * 31 + static_cast<unsigned char>(c);
+    return sum;
+  };
   uint64_t scalar_sum = 0, batch_sum = 0;
 
-  // Two consuming passes per row — arity validation, then a field
-  // checksum — the access pattern the kernels exploit: tokenize once per
-  // batch, read the offset columns many times. The forward-only scalar
-  // tokenizer has to rescan the value for every pass.
   double scalar_s = BestOf(repeat, [&] {
+    ntga::TripleGroup tg;
+    std::string out;
     uint64_t sum = 0;
-    for (size_t i = 0; i < rows; ++i) {
-      std::string_view part;
-      size_t arity = 0;
-      rapida::FieldTokenizer count_pass(values[i], ';');
-      while (count_pass.Next(&part)) ++arity;
-      sum += arity;
-      rapida::FieldTokenizer checksum_pass(values[i], ';');
-      while (checksum_pass.Next(&part)) {
-        for (char c : part) sum += static_cast<unsigned char>(c);
-        sum += part.size();
-      }
+    for (const std::string& v : values) {
+      if (!ntga::ParseTripleGroupInto(v, &tg).ok()) continue;
+      auto filtered =
+          ntga::FilterStarWithFilters(tg, star, type_id, pushed, dict);
+      if (!filtered.has_value()) continue;
+      out.clear();
+      ntga::SerializeTripleGroupTo(*filtered, &out);
+      sum += checksum(out);
     }
     scalar_sum = sum;
   });
 
-  // The scratch lives across iterations, as it does across batches inside a
-  // map task: TokenizeValues Clear()s it but keeps the warm capacity.
-  kernels::FieldColumns cols;
+  const ntga::StarTextFilter filter(star, type_id, pushed, &dict);
   double batch_s = BestOf(repeat, [&] {
-    kernels::TokenizeValues(tagged.data(), tagged.size(), ';', &cols);
+    std::string out;
     uint64_t sum = 0;
-    for (size_t r = 0; r < cols.num_rows(); ++r) {
-      sum += cols.row_end[r] - cols.row_begin(r);
-    }
-    for (std::string_view part : cols.fields) {
-      for (char c : part) sum += static_cast<unsigned char>(c);
-      sum += part.size();
+    for (const std::string& v : values) {
+      out.clear();
+      if (filter.AppendFiltered(v, &out)) sum += checksum(out);
     }
     batch_sum = sum;
   });
 
-  return BenchResult{"batch tokenize", scalar_s, batch_s, rows,
+  return BenchResult{"triplegroup star filter", scalar_s, batch_s, rows,
                      scalar_sum == batch_sum};
 }
 
@@ -359,13 +387,13 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   results.push_back(BenchHashJoinProbe(rows, repeat));
   results.push_back(BenchBatchAggregate(rows / 4, repeat));
-  results.push_back(BenchBatchTokenize(rows / 4, repeat));
+  results.push_back(BenchStarFilter(rows / 4, repeat));
 
-  std::printf("%-18s %12s %12s %9s %s\n", "bench", "scalar(s)", "batch(s)",
+  std::printf("%-24s %12s %12s %9s %s\n", "bench", "scalar(s)", "batch(s)",
               "speedup", "verified");
   bool all_ok = true;
   for (const BenchResult& r : results) {
-    std::printf("%-18s %12.4f %12.4f %8.2fx %s\n", r.name.c_str(),
+    std::printf("%-24s %12.4f %12.4f %8.2fx %s\n", r.name.c_str(),
                 r.scalar_seconds, r.batch_seconds, r.Speedup(),
                 r.verified ? "yes" : "MISMATCH");
     all_ok = all_ok && r.verified;

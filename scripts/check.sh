@@ -13,7 +13,7 @@
 # with the vectorized-kernels pass forced off), a 100-seed
 # OPTIONAL/UNION-biased corpus (--grammar=opt-union, repeated under
 # ASan), a guard that regenerating the golden fixtures reproduces the
-# committed files byte-for-byte, a perf smoke that replays
+# committed files byte-for-byte, a perf smoke (run last) that replays
 # Fig. 8(a) and Fig. 8(b) at 8 threads and diffs their deterministic
 # per-query aggregates against committed goldens, an AddressSanitizer run
 # of the fuzz smoke and the EXPLAIN goldens, and a ThreadSanitizer build
@@ -116,19 +116,6 @@ git diff --exit-code -- tests/golden || {
 echo "== differential fuzz, service mode (caching + batching vs direct) =="
 ./build/examples/rapida_fuzz --service --seeds=50
 
-echo "== perf smoke: Fig. 8(a)+(b) aggregates vs goldens (8 threads) =="
-PERF_TMP="$SCRATCH/perf"
-for FIG in fig8a fig8b; do
-  mkdir -p "$PERF_TMP/$FIG"
-  RAPIDA_EXEC_THREADS=8 RAPIDA_BENCH_JSON= RAPIDA_BENCH_CSV="$PERF_TMP/$FIG" \
-      "./build/bench/bench_$FIG" > /dev/null
-  diff "tests/golden/bench_${FIG}_aggregates.csv" "$PERF_TMP/$FIG"/*.csv || {
-    echo "perf smoke FAILED: $FIG per-query aggregates differ from" \
-         "tests/golden/bench_${FIG}_aggregates.csv" >&2
-    exit 1
-  }
-done
-
 echo "== perf smoke: shard scale-out sweep (BENCH_shard.json gates) =="
 # bench_shard exits nonzero on any byte-identity violation; the JSON gates
 # below additionally pin the scale-out and locality claims on fig8a.
@@ -223,5 +210,21 @@ echo "== TSan: bench_factorize (flat/factorized byte identity at 8 threads) =="
 RAPIDA_FACTORIZE_JSON="$SCRATCH/BENCH_factorize_tsan.json" \
     ./build-tsan/bench/bench_factorize > /dev/null
 python3 scripts/check_factorize.py "$SCRATCH/BENCH_factorize_tsan.json"
+
+# Runs last: tests/golden/bench_fig8{a,b}_aggregates.csv predate the
+# factorize pass and still need regenerating (ROADMAP, cost-model item), so
+# this smoke fails until then; every gate above runs regardless.
+echo "== perf smoke: Fig. 8(a)+(b) aggregates vs goldens (8 threads) =="
+PERF_TMP="$SCRATCH/perf"
+for FIG in fig8a fig8b; do
+  mkdir -p "$PERF_TMP/$FIG"
+  RAPIDA_EXEC_THREADS=8 RAPIDA_BENCH_JSON= RAPIDA_BENCH_CSV="$PERF_TMP/$FIG" \
+      "./build/bench/bench_$FIG" > /dev/null
+  diff "tests/golden/bench_${FIG}_aggregates.csv" "$PERF_TMP/$FIG"/*.csv || {
+    echo "perf smoke FAILED: $FIG per-query aggregates differ from" \
+         "tests/golden/bench_${FIG}_aggregates.csv" >&2
+    exit 1
+  }
+done
 
 echo "All checks passed."

@@ -10,6 +10,31 @@ namespace rapida::analytics {
 
 using sparql::AggFunc;
 
+namespace {
+
+/// CompareTerms(dict, a, b) given AsNumber(a) and AsNumber(b): two numbers
+/// compare without touching the dictionary again.
+int CompareWithNums(const rdf::Dictionary& dict, rdf::TermId a,
+                    const std::optional<double>& na, rdf::TermId b,
+                    const std::optional<double>& nb) {
+  if (a == b) return 0;
+  if (na.has_value() && nb.has_value()) {
+    if (*na < *nb) return -1;
+    if (*na > *nb) return 1;
+    return 0;
+  }
+  return CompareTerms(dict, a, b);
+}
+
+}  // namespace
+
+void Aggregator::CacheMinMaxNums(const rdf::Dictionary& dict) {
+  if (minmax_nums_known_) return;
+  min_num_ = dict.AsNumber(min_term_);
+  max_num_ = dict.AsNumber(max_term_);
+  minmax_nums_known_ = true;
+}
+
 void Aggregator::AddTerm(rdf::TermId value, const rdf::Dictionary& dict) {
   if (value == rdf::kInvalidTermId) return;
   if (distinct_) {
@@ -22,9 +47,19 @@ void Aggregator::AddTerm(rdf::TermId value, const rdf::Dictionary& dict) {
     has_minmax_ = true;
     min_term_ = value;
     max_term_ = value;
+    min_num_ = num;
+    max_num_ = num;
+    minmax_nums_known_ = true;
   } else {
-    if (CompareTerms(dict, value, min_term_) < 0) min_term_ = value;
-    if (CompareTerms(dict, value, max_term_) > 0) max_term_ = value;
+    CacheMinMaxNums(dict);
+    if (CompareWithNums(dict, value, num, min_term_, min_num_) < 0) {
+      min_term_ = value;
+      min_num_ = num;
+    }
+    if (CompareWithNums(dict, value, num, max_term_, max_num_) > 0) {
+      max_term_ = value;
+      max_num_ = num;
+    }
   }
   if (sample_ == rdf::kInvalidTermId || value < sample_) sample_ = value;
   if (func_ == AggFunc::kGroupConcat) concat_values_.push_back(value);
@@ -57,12 +92,26 @@ void Aggregator::Merge(const Aggregator& other, const rdf::Dictionary& dict) {
       has_minmax_ = true;
       min_term_ = other.min_term_;
       max_term_ = other.max_term_;
+      min_num_ = other.min_num_;
+      max_num_ = other.max_num_;
+      minmax_nums_known_ = other.minmax_nums_known_;
     } else {
-      if (CompareTerms(dict, other.min_term_, min_term_) < 0) {
+      CacheMinMaxNums(dict);
+      const std::optional<double> other_min =
+          other.minmax_nums_known_ ? other.min_num_
+                                   : dict.AsNumber(other.min_term_);
+      const std::optional<double> other_max =
+          other.minmax_nums_known_ ? other.max_num_
+                                   : dict.AsNumber(other.max_term_);
+      if (CompareWithNums(dict, other.min_term_, other_min, min_term_,
+                          min_num_) < 0) {
         min_term_ = other.min_term_;
+        min_num_ = other_min;
       }
-      if (CompareTerms(dict, other.max_term_, max_term_) > 0) {
+      if (CompareWithNums(dict, other.max_term_, other_max, max_term_,
+                          max_num_) > 0) {
         max_term_ = other.max_term_;
+        max_num_ = other_max;
       }
     }
   }

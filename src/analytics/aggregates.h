@@ -2,6 +2,7 @@
 #define RAPIDA_ANALYTICS_AGGREGATES_H_
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -66,6 +67,8 @@ class Aggregator {
   double sum() const { return sum_; }
 
  private:
+  void CacheMinMaxNums(const rdf::Dictionary& dict);
+
   sparql::AggFunc func_;
   bool distinct_;
   uint64_t count_ = 0;
@@ -73,6 +76,11 @@ class Aggregator {
   bool has_minmax_ = false;
   rdf::TermId min_term_ = rdf::kInvalidTermId;
   rdf::TermId max_term_ = rdf::kInvalidTermId;
+  /// Dictionary::AsNumber of min_term_ / max_term_, valid when
+  /// minmax_nums_known_ (filled lazily after DeserializePartial), so a
+  /// numeric AddTerm costs one dictionary read instead of CompareTerms'.
+  std::optional<double> min_num_, max_num_;
+  bool minmax_nums_known_ = false;
   /// SAMPLE witness: the smallest term id seen (deterministic across
   /// engines and partitionings).
   rdf::TermId sample_ = rdf::kInvalidTermId;

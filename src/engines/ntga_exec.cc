@@ -1,64 +1,19 @@
 #include "engines/ntga_exec.h"
 
-#include <algorithm>
 #include <atomic>
 #include <set>
 
 #include "analytics/aggregates.h"
 #include "mapreduce/kernels.h"
-#include "sparql/expr_eval.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace rapida::engine {
 
 using analytics::Aggregator;
-using ntga::NestedTripleGroup;
 using ntga::ResolvedPattern;
 using ntga::ResolvedStar;
-using ntga::TripleGroup;
 
 namespace {
-
-/// TG_OptGrpFilter with triple-level filter pushdown: after the star
-/// projection, triples whose object fails a pushed single-variable filter
-/// are removed; losing every triple of a *primary* property rejects the
-/// whole group (secondary properties just end up absent — exactly the
-/// per-pattern semantics the α conditions test later).
-std::optional<TripleGroup> FilterStarWithFilters(
-    const TripleGroup& tg, const ResolvedStar& star, rdf::TermId type_id,
-    const PushedFilters& pushed, const rdf::Dictionary& dict) {
-  std::optional<TripleGroup> base = ntga::FilterStar(tg, star, type_id);
-  if (!base.has_value()) return std::nullopt;
-  for (const ntga::ResolvedStarTriple& pt : star.triples) {
-    if (pt.object_var.empty()) continue;
-    auto it = pushed.find(pt.object_var);
-    if (it == pushed.end() || it->second.empty()) continue;
-    auto fails = [&](const rdf::Triple& t) {
-      if (!(ntga::DataPropKey{t.p, t.p == type_id ? t.o : rdf::kInvalidTermId} ==
-            pt.key)) {
-        return false;  // triple belongs to another property
-      }
-      auto resolve = [&pt, &t](const std::string& v) {
-        return v == pt.object_var ? t.o : rdf::kInvalidTermId;
-      };
-      for (const sparql::Expr* f : it->second) {
-        if (!sparql::EffectiveBool(sparql::EvaluateExpr(*f, resolve, dict))) {
-          return true;
-        }
-      }
-      return false;
-    };
-    auto& triples = base->triples;
-    triples.erase(std::remove_if(triples.begin(), triples.end(), fails),
-                  triples.end());
-    if (star.primary.count(pt.key) > 0 &&
-        !base->HasProp(pt.key, type_id, pt.const_object)) {
-      return std::nullopt;
-    }
-  }
-  return base;
-}
 
 /// Per-input-tag role in a TG_AlphaJoin cycle.
 struct TagRole {
@@ -69,21 +24,97 @@ struct TagRole {
   ntga::DataPropKey prop;
 };
 
-/// Per-reduce-task scratch of the batch TG_AlphaJoin reduce: pools of
-/// parsed nested groups per side (element capacity reused across key
-/// groups), the merge target, and the emit buffer.
+/// Installs a per-record map body as the job's scalar `map` (the sharded
+/// path) and, on the kernel path, as a `map_batch` loop over the split.
+/// Bodies keep their scratch in MapContext::TaskState, so both dispatches
+/// run the same code and emit the same records in the same order.
+template <typename Body>
+void SetMap(mr::JobConfig* job, bool batch, Body body) {
+  if (batch) {
+    job->map_batch = [body](const mr::TaggedRecord* recs, size_t n,
+                            mr::MapContext* ctx) {
+      for (size_t i = 0; i < n; ++i) body(*recs[i].record, recs[i].tag, ctx);
+    };
+  }
+  job->map = std::move(body);
+}
+
+/// ntga::JoinKeys on one star's canonical text ("" when unfilled): calls
+/// fn(key) for each join key, in the same order.
+template <typename Fn>
+void ForEachJoinKey(std::string_view star, ntga::JoinRole role,
+                    const ntga::DataPropKey& prop, rdf::TermId type_id,
+                    Fn&& fn) {
+  if (star.empty()) return;
+  rdf::TermId subject = rdf::kInvalidTermId;
+  if (role == ntga::JoinRole::kSubject) {
+    const char* p = star.data();
+    if (ntga::ReadCanonicalId(&p, p + star.size(), &subject) &&
+        subject != rdf::kInvalidTermId) {
+      fn(subject);
+    }
+    return;
+  }
+  ntga::ForEachTripleText(
+      star, &subject, [&](rdf::TermId p, rdf::TermId o, std::string_view) {
+        const ntga::DataPropKey key{p,
+                                    p == type_id ? o : rdf::kInvalidTermId};
+        if (subject != rdf::kInvalidTermId && key == prop) fn(o);
+      });
+}
+
+/// Views one Agg-Join / expand input record as per-star texts: a raw
+/// triplegroup through the star-0 filter (one-star patterns, `filter`
+/// set) or a serialized nested group. `text` holds the filtered (or
+/// canonicalized) bytes the views may point into. False: no match.
+bool ViewMatch(const mr::Record& r, const ntga::StarTextFilter* filter,
+               int num_stars, std::string* text,
+               std::vector<std::string_view>* stars) {
+  stars->assign(num_stars, std::string_view());
+  if (filter != nullptr) {
+    text->clear();
+    if (!filter->AppendFiltered(r.value, text)) return false;
+    (*stars)[0] = *text;
+    return true;
+  }
+  std::string_view bytes;
+  return ntga::ViewNestedCanonical(r.value, num_stars, text, &bytes,
+                                   stars->data());
+}
+
+/// Per-map-task scratch of TG_AlphaJoin.
+struct AlphaMapScratch {
+  std::string canon;  // a non-canonical nested input, rewritten
+  std::vector<std::string_view> stars;
+  std::string key_buf, val_buf;
+};
+
+/// Per-reduce-task scratch of TG_AlphaJoin: the star views of each side's
+/// values (num_stars per value, pointing into the shuffle partition), the
+/// merged views the α check loads, and the emit buffer.
 struct AlphaReduceScratch {
-  std::vector<NestedTripleGroup> left, right;
-  NestedTripleGroup merged;
+  std::vector<std::string_view> left, right, merged;
+  ntga::SlotBindings::Values values;
   std::string buf;
 };
 
-/// Insertion-ordered multiAggMap replacement for the batch TG_AggJoin map:
-/// HashIndex over the encoded "gid#grpkey" string, dense side tables.
+/// Insertion-ordered multiAggMap for the TG_AggJoin map: HashIndex over
+/// the encoded "gid#grpkey" string, dense side tables.
 struct MultiAggTable {
   mr::kernels::HashIndex index;
   std::vector<std::string> keys;
   std::vector<std::vector<Aggregator>> agg_rows;
+};
+
+/// Per-map-task scratch of the TG_AggJoin and expand maps.
+struct MatchMapScratch {
+  MultiAggTable table;  // Agg-Join partial aggregation (Alg. 3)
+  std::string text;
+  std::vector<std::string_view> stars;
+  ntga::SlotBindings::Values values;
+  ntga::BindingExpansion exp;
+  std::vector<rdf::TermId> row_buf;
+  std::string key_buf, val_buf;
 };
 
 }  // namespace
@@ -130,9 +161,11 @@ StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
     return out;
   }
 
-  auto shared_pattern = std::make_shared<ResolvedPattern>(pattern);
-  auto shared_filters = std::make_shared<PushedFilters>(pushed_filters);
-  const rdf::Dictionary* dict = &dataset_->dict();
+  auto star_filters = std::make_shared<std::vector<ntga::StarTextFilter>>();
+  for (const ResolvedStar& star : pattern.stars) {
+    star_filters->emplace_back(star, pattern.type_id, pushed_filters,
+                               &dataset_->dict());
+  }
   rdf::TermId type_id = pattern.type_id;
 
   std::vector<bool> joined(num_stars, false);
@@ -239,143 +272,95 @@ StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
 
     auto shared_roles = std::make_shared<std::vector<TagRole>>(roles);
     // The accumulated (nested) side's join endpoint is the left star of
-    // the current edge.
+    // the current edge. A nested input goes out as its own bytes and a raw
+    // one as "star:" + its filtered text; only the endpoint star is read,
+    // for its join keys.
     int nested_endpoint_star = left_star;
-    if (options_.vectorized_kernels) {
-      // Batch kernel: one dispatch per split, parse/serialize through the
-      // scratch-reusing codec variants, emit the same records in the same
-      // order as the scalar map below.
-      job.map_batch = [shared_roles, shared_pattern, shared_filters, dict,
-                       type_id, num_stars, nested_endpoint_star](
-                          const mr::TaggedRecord* recs, size_t n,
-                          mr::MapContext* ctx) {
-        TripleGroup tg;
-        NestedTripleGroup ntg;
-        std::string key_buf, val_buf;
-        for (size_t i = 0; i < n; ++i) {
-          const TagRole& role = (*shared_roles)[recs[i].tag];
-          const mr::Record& r = *recs[i].record;
-          if (role.is_nested) {
-            if (!ntga::ParseNestedInto(r.value, num_stars, &ntg).ok()) {
-              continue;
-            }
-          } else {
-            if (!ntga::ParseTripleGroupInto(r.value, &tg).ok()) continue;
-            auto filtered =
-                FilterStarWithFilters(tg, shared_pattern->stars[role.star],
-                                      type_id, *shared_filters, *dict);
-            if (!filtered.has_value()) continue;
-            ntg.stars.resize(num_stars);
-            for (int s = 0; s < num_stars; ++s) {
-              if (s == role.star) continue;
-              ntg.stars[s].subject = rdf::kInvalidTermId;
-              ntg.stars[s].triples.clear();
-            }
-            ntg.stars[role.star] = std::move(*filtered);
-          }
-          int endpoint_star =
-              role.is_nested ? nested_endpoint_star : role.star;
-          std::vector<rdf::TermId> keys = ntga::JoinKeys(
-              ntg, endpoint_star, role.role, role.prop, type_id);
-          val_buf.assign(role.left_side ? "L|" : "R|");
-          ntga::SerializeNestedTo(ntg, &val_buf);
-          for (rdf::TermId key : keys) {
-            key_buf.clear();
-            mr::kernels::AppendDecimal(&key_buf, key);
-            ctx->Emit(key_buf, val_buf);
-          }
-        }
-      };
-    } else {
-      job.map = [shared_roles, shared_pattern, shared_filters, dict, type_id,
-                 num_stars, nested_endpoint_star](
-                    const mr::Record& r, int tag, mr::MapContext* ctx) {
-        const TagRole& role = (*shared_roles)[tag];
-        NestedTripleGroup ntg;
-        if (role.is_nested) {
-          auto parsed = ntga::ParseNested(r.value, num_stars);
-          if (!parsed.ok()) return;
-          ntg = std::move(*parsed);
-        } else {
-          auto tg = ntga::ParseTripleGroup(r.value);
-          if (!tg.ok()) return;
-          auto filtered =
-              FilterStarWithFilters(*tg, shared_pattern->stars[role.star],
-                                    type_id, *shared_filters, *dict);
-          if (!filtered.has_value()) return;
-          ntg.stars.resize(num_stars);
-          ntg.stars[role.star] = std::move(*filtered);
-        }
-        int endpoint_star = role.is_nested ? nested_endpoint_star : role.star;
-        std::vector<rdf::TermId> keys =
-            ntga::JoinKeys(ntg, endpoint_star, role.role, role.prop, type_id);
-        std::string serialized = ntga::SerializeNested(ntg);
-        for (rdf::TermId key : keys) {
-          ctx->Emit(std::to_string(key),
-                    (role.left_side ? "L|" : "R|") + serialized);
-        }
-      };
-    }
+    SetMap(&job, options_.vectorized_kernels,
+           [shared_roles, star_filters, type_id, num_stars,
+            nested_endpoint_star](const mr::Record& r, int tag,
+                                  mr::MapContext* ctx) {
+             const TagRole& role = (*shared_roles)[tag];
+             AlphaMapScratch* s = ctx->TaskState<AlphaMapScratch>();
+             s->val_buf.assign(role.left_side ? "L|" : "R|");
+             std::string_view endpoint;
+             if (role.is_nested) {
+               std::string_view bytes;
+               s->stars.resize(num_stars);
+               if (!ntga::ViewNestedCanonical(r.value, num_stars, &s->canon,
+                                              &bytes, s->stars.data())) {
+                 return;
+               }
+               s->val_buf.append(bytes);
+               endpoint = s->stars[nested_endpoint_star];
+             } else {
+               mr::kernels::AppendDecimal(&s->val_buf,
+                                          static_cast<uint64_t>(role.star));
+               s->val_buf += ':';
+               const size_t at = s->val_buf.size();
+               if (!(*star_filters)[role.star].AppendFiltered(r.value,
+                                                              &s->val_buf)) {
+                 return;
+               }
+               endpoint = std::string_view(s->val_buf).substr(at);
+             }
+             ForEachJoinKey(endpoint, role.role, role.prop, type_id,
+                            [&](rdf::TermId key) {
+                              s->key_buf.clear();
+                              mr::kernels::AppendDecimal(&s->key_buf, key);
+                              ctx->Emit(s->key_buf, s->val_buf);
+                            });
+           });
 
-    auto alphas = std::make_shared<std::vector<ntga::AlphaCondition>>(
-        last_cycle ? final_alphas : std::vector<ntga::AlphaCondition>{});
-    if (options_.vectorized_kernels) {
-      job.reduce = [alphas, type_id, num_stars](
-                       std::string_view /*key*/, const mr::ValueSpan& values,
-                       mr::ReduceContext* ctx) {
-        AlphaReduceScratch* s = ctx->TaskState<AlphaReduceScratch>();
-        size_t nleft = 0, nright = 0;
-        for (std::string_view v : values) {
-          if (v.size() < 2) continue;
-          const bool is_left = v[0] == 'L';
-          std::vector<NestedTripleGroup>& pool = is_left ? s->left : s->right;
-          size_t& count = is_left ? nleft : nright;
-          if (count == pool.size()) pool.emplace_back();
-          if (!ntga::ParseNestedInto(v.substr(2), num_stars, &pool[count])
-                   .ok()) {
-            continue;
-          }
-          ++count;
-        }
-        for (size_t li = 0; li < nleft; ++li) {
-          for (size_t ri = 0; ri < nright; ++ri) {
-            const NestedTripleGroup& r = s->right[ri];
-            s->merged = s->left[li];  // copy-assign reuses capacity
-            for (int st = 0; st < num_stars; ++st) {
-              if (r.IsFilled(st)) s->merged.stars[st] = r.stars[st];
-            }
-            if (!ntga::SatisfiesAnyAlpha(s->merged, *alphas, type_id)) {
-              continue;
-            }
-            s->buf.clear();
-            ntga::SerializeNestedTo(s->merged, &s->buf);
-            ctx->Emit("", s->buf);
-          }
-        }
-      };
-    } else {
-      job.reduce = [alphas, type_id, num_stars](
-                       std::string_view /*key*/, const mr::ValueSpan& values,
-                       mr::ReduceContext* ctx) {
-        std::vector<NestedTripleGroup> left, right;
-        for (std::string_view v : values) {
-          if (v.size() < 2) continue;
-          auto parsed = ntga::ParseNested(v.substr(2), num_stars);
-          if (!parsed.ok()) continue;
-          (v[0] == 'L' ? left : right).push_back(std::move(*parsed));
-        }
-        for (const NestedTripleGroup& l : left) {
-          for (const NestedTripleGroup& r : right) {
-            NestedTripleGroup merged = l;
-            for (int s = 0; s < num_stars; ++s) {
-              if (r.IsFilled(s)) merged.stars[s] = r.stars[s];
-            }
-            if (!ntga::SatisfiesAnyAlpha(merged, *alphas, type_id)) continue;
-            ctx->Emit("", ntga::SerializeNested(merged));
-          }
-        }
-      };
+    // The reduce splices each left/right pair's star texts; only the last
+    // cycle filters by α, decoding just the stars its conditions name.
+    std::shared_ptr<const ntga::SlotBindings> alpha_slots;
+    const size_t num_alphas = last_cycle ? final_alphas.size() : 0;
+    if (num_alphas > 0) {
+      alpha_slots =
+          std::make_shared<ntga::SlotBindings>(
+          pattern, std::vector<std::vector<std::string>>{}, final_alphas);
     }
+    job.reduce = [alpha_slots, num_alphas, num_stars](
+                     std::string_view /*key*/, const mr::ValueSpan& values,
+                     mr::ReduceContext* ctx) {
+      AlphaReduceScratch* s = ctx->TaskState<AlphaReduceScratch>();
+      const size_t n = static_cast<size_t>(num_stars);
+      size_t nleft = 0, nright = 0;
+      for (std::string_view v : values) {
+        if (v.size() < 2) continue;
+        const bool is_left = v[0] == 'L';
+        std::vector<std::string_view>& pool = is_left ? s->left : s->right;
+        size_t& count = is_left ? nleft : nright;
+        if (pool.size() < (count + 1) * n) pool.resize((count + 1) * n);
+        // The map emits only canonical groups: no need to re-check them.
+        if (!ntga::SplitNested(v.substr(2), num_stars, &pool[count * n])) {
+          continue;
+        }
+        ++count;
+      }
+      s->merged.resize(n);
+      for (size_t li = 0; li < nleft; ++li) {
+        const std::string_view* l = &s->left[li * n];
+        for (size_t ri = 0; ri < nright; ++ri) {
+          const std::string_view* r = &s->right[ri * n];
+          if (num_alphas > 0) {
+            for (size_t st = 0; st < n; ++st) {
+              s->merged[st] = r[st].empty() ? l[st] : r[st];
+            }
+            if (!alpha_slots->Load(s->merged.data(), &s->values)) continue;
+            bool any = false;
+            for (size_t a = 0; a < num_alphas && !any; ++a) {
+              any = alpha_slots->Satisfies(a, s->values);
+            }
+            if (!any) continue;
+          }
+          s->buf.clear();
+          ntga::SpliceNestedTo(l, r, num_stars, &s->buf);
+          ctx->Emit("", s->buf);
+        }
+      }
+    };
     // Pure function of (key, values): reducers may run concurrently.
     job.reduce_parallel_safe = true;
 
@@ -399,9 +384,12 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
   const int num_stars = static_cast<int>(pattern.stars.size());
   const bool star_mode = matches.nested_file.empty();
   rdf::Dictionary* dict = &dataset_->dict();
-  rdf::TermId type_id = pattern.type_id;
-  auto shared_pattern = std::make_shared<ResolvedPattern>(pattern);
-  auto shared_filters = std::make_shared<PushedFilters>(pushed_filters);
+  // One-star patterns filter the raw triplegroups in the Agg-Join map.
+  std::shared_ptr<const ntga::StarTextFilter> star_filter;
+  if (star_mode) {
+    star_filter = std::make_shared<ntga::StarTextFilter>(
+        pattern.stars[0], pattern.type_id, pushed_filters, dict);
+  }
 
   // Job batches: all groupings in one cycle (parallel Agg-Join, Fig. 6b)
   // or one cycle each (Fig. 6a).
@@ -444,265 +432,133 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
       shared_groupings->push_back(std::move(copy));
     }
 
-    // Per-mapper multiAggMap (Alg. 3): key "gid#grpkey" -> aggregators.
-    // Lives in MapContext::TaskState so concurrent map tasks accumulate
-    // into independent tables (flushed by map_finish below).
-    using MultiAggMap = std::map<std::string, std::vector<Aggregator>>;
-    bool partial = options_.partial_aggregation;
-
-    auto process = [shared_groupings, batch, shared_pattern, dict, type_id,
-                    partial](const NestedTripleGroup& ntg,
-                             mr::MapContext* ctx) {
-      MultiAggMap* multi_agg_map =
-          partial ? ctx->TaskState<MultiAggMap>() : nullptr;
-      for (int g : *batch) {
-        const NtgaGrouping& grouping = (*shared_groupings)[g];
-        if (!ntga::SatisfiesAlpha(ntg, grouping.spec.alpha, type_id)) {
-          continue;
-        }
-        const size_t n_group = grouping.spec.group_vars.size();
-        // Positions of group / agg vars within pattern_vars.
-        // (Recomputed per call; pattern_vars is tiny.)
-        auto pos_of = [&grouping](const std::string& v) {
-          for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
-            if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
-          }
-          return -1;
-        };
-        for (const std::vector<rdf::TermId>& mapping : ntga::ExpandBindings(
-                 ntg, *shared_pattern, grouping.pattern_vars,
-                 /*skip_unbound=*/true)) {
-          if (grouping.mapping_predicate &&
-              !grouping.mapping_predicate(mapping)) {
-            continue;
-          }
-          std::vector<rdf::TermId> key;
-          key.reserve(n_group);
-          for (const std::string& v : grouping.spec.group_vars) {
-            int i = pos_of(v);
-            key.push_back(i < 0 ? rdf::kInvalidTermId : mapping[i]);
-          }
-          std::string map_key =
-              std::to_string(g) + "#" + EncodeRow(key);
-          if (partial) {
-            auto [it, inserted] = multi_agg_map->emplace(
-                map_key, std::vector<Aggregator>());
-            if (inserted) {
-              for (const ntga::AggSpec& a : grouping.spec.aggs) {
-                it->second.emplace_back(a.func, false, a.separator);
-              }
-            }
-            for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
-              const ntga::AggSpec& spec = grouping.spec.aggs[a];
-              if (spec.count_star) {
-                it->second[a].AddRow();
-              } else {
-                int i = pos_of(spec.var);
-                it->second[a].AddTerm(
-                    i < 0 ? rdf::kInvalidTermId : mapping[i], *dict);
-              }
-            }
-          } else {
-            std::vector<rdf::TermId> args;
-            for (const ntga::AggSpec& spec : grouping.spec.aggs) {
-              int i = pos_of(spec.var);
-              args.push_back(spec.count_star || i < 0 ? rdf::kInvalidTermId
-                                                      : mapping[i]);
-            }
-            ctx->Emit(map_key, "R|" + EncodeRow(args));
-          }
-        }
-      }
+    // Variable positions within each grouping's pattern_vars, resolved
+    // once per job (-1: not bound there, or COUNT(*)).
+    struct GroupingPlan {
+      std::vector<int> group_pos;
+      std::vector<int> agg_pos;
     };
-
-    // Batch variant of `process`: same per-mapping logic, but the partial
-    // table is an insertion-ordered MultiAggTable and the key/value bytes
-    // are built in reused buffers. Flush order differs from the scalar
-    // std::map's sorted order; keys are unique per task and the shuffle
-    // sorts by key, so the post-shuffle stream is identical.
-    auto process_batch = [shared_groupings, batch, shared_pattern, dict,
-                          type_id, partial](const NestedTripleGroup& ntg,
-                                            MultiAggTable* table,
-                                            std::string* key_buf,
-                                            std::string* val_buf,
-                                            ntga::BindingExpansion* exp,
-                                            std::vector<rdf::TermId>* row_buf,
-                                            mr::MapContext* ctx) {
-      for (int g : *batch) {
-        const NtgaGrouping& grouping = (*shared_groupings)[g];
-        if (!ntga::SatisfiesAlpha(ntg, grouping.spec.alpha, type_id)) {
-          continue;
+    auto plans = std::make_shared<std::vector<GroupingPlan>>();
+    std::vector<std::vector<std::string>> var_lists;
+    std::vector<ntga::AlphaCondition> alphas;
+    for (int g : batches[b]) {
+      const NtgaGrouping& grouping = groupings[g];
+      auto pos_of = [&grouping](const std::string& v) {
+        for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
+          if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
         }
-        auto pos_of = [&grouping](const std::string& v) {
-          for (size_t i = 0; i < grouping.pattern_vars.size(); ++i) {
-            if (grouping.pattern_vars[i] == v) return static_cast<int>(i);
-          }
-          return -1;
-        };
-        ntga::ExpandBindingsInto(ntg, *shared_pattern, grouping.pattern_vars,
-                                 /*skip_unbound=*/true, exp);
-        for (size_t r = 0; r < exp->num_rows; ++r) {
-          const rdf::TermId* mapping = exp->row(r);
+        return -1;
+      };
+      GroupingPlan& plan = plans->emplace_back();
+      for (const std::string& v : grouping.spec.group_vars) {
+        plan.group_pos.push_back(pos_of(v));
+      }
+      for (const ntga::AggSpec& a : grouping.spec.aggs) {
+        plan.agg_pos.push_back(a.count_star ? -1 : pos_of(a.var));
+      }
+      var_lists.push_back(grouping.pattern_vars);
+      alphas.push_back(grouping.spec.alpha);
+    }
+    auto slots =
+        std::make_shared<ntga::SlotBindings>(pattern, var_lists, alphas);
+
+    // Per-mapper multiAggMap (Alg. 3): key "gid#grpkey" -> aggregators,
+    // kept in MapContext::TaskState so concurrent map tasks accumulate into
+    // independent tables, flushed by map_finish below in insertion order
+    // (keys are unique per task and the shuffle sorts by key).
+    const bool partial = options_.partial_aggregation;
+    SetMap(&job, options_.vectorized_kernels,
+           [shared_groupings, batch, plans, slots, star_filter, dict,
+            num_stars, partial](const mr::Record& r, int,
+                                mr::MapContext* ctx) {
+      MatchMapScratch* s = ctx->TaskState<MatchMapScratch>();
+      if (!ViewMatch(r, star_filter.get(), num_stars, &s->text, &s->stars) ||
+          !slots->Load(s->stars.data(), &s->values)) {
+        return;
+      }
+      for (size_t bi = 0; bi < batch->size(); ++bi) {
+        const int g = (*batch)[bi];
+        const NtgaGrouping& grouping = (*shared_groupings)[g];
+        const GroupingPlan& plan = (*plans)[bi];
+        if (!slots->Satisfies(bi, s->values)) continue;
+        slots->Expand(bi, s->values, /*skip_unbound=*/true, &s->exp);
+        for (size_t row = 0; row < s->exp.num_rows; ++row) {
+          const rdf::TermId* mapping = s->exp.row(row);
           if (grouping.mapping_predicate) {
-            row_buf->assign(mapping, mapping + exp->width);
-            if (!grouping.mapping_predicate(*row_buf)) continue;
+            s->row_buf.assign(mapping, mapping + s->exp.width);
+            if (!grouping.mapping_predicate(s->row_buf)) continue;
           }
-          key_buf->clear();
-          mr::kernels::AppendDecimal(key_buf, static_cast<uint64_t>(g));
-          *key_buf += '#';
-          bool first = true;
-          for (const std::string& v : grouping.spec.group_vars) {
-            if (!first) *key_buf += ',';
-            first = false;
-            int i = pos_of(v);
+          s->key_buf.clear();
+          mr::kernels::AppendDecimal(&s->key_buf, static_cast<uint64_t>(g));
+          s->key_buf += '#';
+          for (size_t k = 0; k < plan.group_pos.size(); ++k) {
+            if (k > 0) s->key_buf += ',';
+            const int i = plan.group_pos[k];
             mr::kernels::AppendDecimal(
-                key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
+                &s->key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
           }
           if (partial) {
-            auto [id, inserted] = table->index.FindOrInsert(
-                mr::HashKey(*key_buf),
-                static_cast<uint32_t>(table->keys.size()),
-                [&](uint32_t cand) { return table->keys[cand] == *key_buf; });
+            MultiAggTable& table = s->table;
+            auto [id, inserted] = table.index.FindOrInsert(
+                mr::HashKey(s->key_buf),
+                static_cast<uint32_t>(table.keys.size()),
+                [&](uint32_t cand) { return table.keys[cand] == s->key_buf; });
             if (inserted) {
-              table->keys.push_back(*key_buf);
-              table->agg_rows.emplace_back();
+              table.keys.push_back(s->key_buf);
+              table.agg_rows.emplace_back();
               for (const ntga::AggSpec& a : grouping.spec.aggs) {
-                table->agg_rows.back().emplace_back(a.func, false,
-                                                    a.separator);
+                table.agg_rows.back().emplace_back(a.func, false,
+                                                   a.separator);
               }
             }
-            std::vector<Aggregator>& aggs = table->agg_rows[id];
-            for (size_t a = 0; a < grouping.spec.aggs.size(); ++a) {
-              const ntga::AggSpec& spec = grouping.spec.aggs[a];
-              if (spec.count_star) {
+            std::vector<Aggregator>& aggs = table.agg_rows[id];
+            for (size_t a = 0; a < aggs.size(); ++a) {
+              const int i = plan.agg_pos[a];
+              if (grouping.spec.aggs[a].count_star) {
                 aggs[a].AddRow();
               } else {
-                int i = pos_of(spec.var);
                 aggs[a].AddTerm(i < 0 ? rdf::kInvalidTermId : mapping[i],
                                 *dict);
               }
             }
           } else {
-            val_buf->assign("R|");
-            bool farg = true;
-            for (const ntga::AggSpec& spec : grouping.spec.aggs) {
-              if (!farg) *val_buf += ',';
-              farg = false;
-              int i = pos_of(spec.var);
+            s->val_buf.assign("R|");
+            for (size_t a = 0; a < plan.agg_pos.size(); ++a) {
+              if (a > 0) s->val_buf += ',';
+              const int i = plan.agg_pos[a];
               mr::kernels::AppendDecimal(
-                  val_buf, spec.count_star || i < 0 ? rdf::kInvalidTermId
-                                                    : mapping[i]);
+                  &s->val_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
             }
-            ctx->Emit(*key_buf, *val_buf);
+            ctx->Emit(s->key_buf, s->val_buf);
           }
         }
       }
-    };
-    auto flush_table = [](MultiAggTable* table, mr::MapContext* ctx) {
-      for (size_t id = 0; id < table->keys.size(); ++id) {
-        std::string value = "P";
-        for (const Aggregator& a : table->agg_rows[id]) {
-          value += '|';
-          value += a.SerializePartial();
-        }
-        ctx->Emit(table->keys[id], value);
-      }
-    };
-
-    if (options_.vectorized_kernels && star_mode) {
-      job.map_batch = [shared_pattern, shared_filters, dict, type_id,
-                       num_stars, process_batch, flush_table, partial](
-                          const mr::TaggedRecord* recs, size_t n,
-                          mr::MapContext* ctx) {
-        MultiAggTable table;
-        TripleGroup tg;
-        NestedTripleGroup ntg;
-        ntg.stars.resize(num_stars);
-        std::string key_buf, val_buf;
-        ntga::BindingExpansion exp;
-        std::vector<rdf::TermId> row_buf;
-        for (size_t i = 0; i < n; ++i) {
-          if (!ntga::ParseTripleGroupInto(recs[i].record->value, &tg).ok()) {
-            continue;
-          }
-          auto filtered = FilterStarWithFilters(
-              tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-          if (!filtered.has_value()) continue;
-          for (int s = 1; s < num_stars; ++s) {
-            ntg.stars[s].subject = rdf::kInvalidTermId;
-            ntg.stars[s].triples.clear();
-          }
-          ntg.stars[0] = std::move(*filtered);
-          process_batch(ntg, &table, &key_buf, &val_buf, &exp, &row_buf, ctx);
-        }
-        if (partial) flush_table(&table, ctx);
-      };
-    } else if (options_.vectorized_kernels) {
-      job.map_batch = [num_stars, process_batch, flush_table, partial](
-                          const mr::TaggedRecord* recs, size_t n,
-                          mr::MapContext* ctx) {
-        MultiAggTable table;
-        NestedTripleGroup ntg;
-        std::string key_buf, val_buf;
-        ntga::BindingExpansion exp;
-        std::vector<rdf::TermId> row_buf;
-        for (size_t i = 0; i < n; ++i) {
-          if (!ntga::ParseNestedInto(recs[i].record->value, num_stars, &ntg)
-                   .ok()) {
-            continue;
-          }
-          process_batch(ntg, &table, &key_buf, &val_buf, &exp, &row_buf, ctx);
-        }
-        if (partial) flush_table(&table, ctx);
-      };
-    } else if (star_mode) {
-      job.map = [shared_pattern, shared_filters, dict, type_id, num_stars,
-                 process](const mr::Record& r, int, mr::MapContext* ctx) {
-        auto tg = ntga::ParseTripleGroup(r.value);
-        if (!tg.ok()) return;
-        auto filtered = FilterStarWithFilters(
-            *tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-        if (!filtered.has_value()) return;
-        NestedTripleGroup ntg;
-        ntg.stars.resize(num_stars);
-        ntg.stars[0] = std::move(*filtered);
-        process(ntg, ctx);
-      };
-    } else {
-      job.map = [num_stars, process](const mr::Record& r, int,
-                                     mr::MapContext* ctx) {
-        auto parsed = ntga::ParseNested(r.value, num_stars);
-        if (!parsed.ok()) return;
-        process(*parsed, ctx);
-      };
-    }
-    if (partial && !options_.vectorized_kernels) {
+    });
+    if (partial) {
       job.map_finish = [](mr::MapContext* ctx) {
-        MultiAggMap* multi_agg_map = ctx->TaskState<MultiAggMap>();
-        for (auto& [key, aggs] : *multi_agg_map) {
-          std::string value = "P";
-          for (const Aggregator& a : aggs) {
+        MultiAggTable& table = ctx->TaskState<MatchMapScratch>()->table;
+        std::string value;
+        for (size_t id = 0; id < table.keys.size(); ++id) {
+          value.assign("P");
+          for (const Aggregator& a : table.agg_rows[id]) {
             value += '|';
             value += a.SerializePartial();
           }
-          ctx->Emit(key, value);
+          ctx->Emit(table.keys[id], value);
         }
-        multi_agg_map->clear();
       };
     }
 
-    const bool batch_reduce = options_.vectorized_kernels;
-    job.reduce = [shared_groupings, dict, batch_reduce](
-                     std::string_view key, const mr::ValueSpan& values,
-                     mr::ReduceContext* ctx) {
-      // Batch mode reuses per-task scratch across key groups; the
-      // aggregator list itself must reset per group either way.
+    job.reduce = [shared_groupings, dict](std::string_view key,
+                                          const mr::ValueSpan& values,
+                                          mr::ReduceContext* ctx) {
+      // Scratch is reused across key groups; the aggregator list itself
+      // resets per group.
       struct Scratch {
         std::vector<rdf::TermId> args, row;
         std::string val_buf;
       };
-      Scratch local;
-      Scratch* s = batch_reduce ? ctx->TaskState<Scratch>() : &local;
+      Scratch* s = ctx->TaskState<Scratch>();
       size_t hash_pos = key.find('#');
       if (hash_pos == std::string_view::npos) return;
       int64_t gid = 0;
@@ -784,11 +640,14 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
     const std::string& label) {
   const int num_stars = static_cast<int>(pattern.stars.size());
   const bool star_mode = matches.nested_file.empty();
-  rdf::Dictionary* dict = &dataset_->dict();
-  rdf::TermId type_id = pattern.type_id;
-  auto shared_pattern = std::make_shared<ResolvedPattern>(pattern);
-  auto shared_filters = std::make_shared<PushedFilters>(pushed_filters);
-  auto shared_vars = std::make_shared<std::vector<std::string>>(columns);
+  std::shared_ptr<const ntga::StarTextFilter> star_filter;
+  if (star_mode) {
+    star_filter = std::make_shared<ntga::StarTextFilter>(
+        pattern.stars[0], pattern.type_id, pushed_filters, &dataset_->dict());
+  }
+  auto slots = std::make_shared<ntga::SlotBindings>(
+      pattern, std::vector<std::vector<std::string>>{columns},
+      std::vector<ntga::AlphaCondition>{});
 
   mr::JobConfig job;
   job.name = label + ":expand (map-only)";
@@ -800,91 +659,35 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   std::string out_file = NextTmp(label + ":rows");
   job.output = out_file;
 
-  auto process = [shared_pattern, shared_vars, mapping_predicate](
-                     const NestedTripleGroup& ntg, mr::MapContext* ctx) {
+  SetMap(&job, options_.vectorized_kernels,
+         [star_filter, slots, num_stars, mapping_predicate](
+             const mr::Record& r, int, mr::MapContext* ctx) {
+    MatchMapScratch* s = ctx->TaskState<MatchMapScratch>();
+    if (!ViewMatch(r, star_filter.get(), num_stars, &s->text, &s->stars) ||
+        !slots->Load(s->stars.data(), &s->values)) {
+      return;
+    }
     // skip_unbound=false: a star the match did not fill (never the case
     // for all-primary patterns) or an absent optional property stays NULL
     // in the row, matching the relational NULL convention downstream.
+    slots->Expand(0, s->values, /*skip_unbound=*/false, &s->exp);
     uint64_t emitted = 0;
-    for (const std::vector<rdf::TermId>& mapping : ntga::ExpandBindings(
-             ntg, *shared_pattern, *shared_vars, /*skip_unbound=*/false)) {
-      if (mapping_predicate && !mapping_predicate(mapping)) continue;
-      ctx->Emit("", EncodeRow(mapping));
+    for (size_t row = 0; row < s->exp.num_rows; ++row) {
+      const rdf::TermId* mapping = s->exp.row(row);
+      if (mapping_predicate) {
+        s->row_buf.assign(mapping, mapping + s->exp.width);
+        if (!mapping_predicate(s->row_buf)) continue;
+      }
+      s->val_buf.clear();
+      AppendRow(&s->val_buf, mapping, s->exp.width);
+      ctx->Emit("", s->val_buf);
       ++emitted;
     }
     // The triplegroup is the NTGA engines' native factorized form: this
     // expansion is the decompress boundary, so each group that produced
     // rows books itself against the flat rows it stood for.
     if (emitted > 0) ctx->NoteFactorizedGroup(emitted);
-  };
-
-  if (options_.vectorized_kernels) {
-    job.map_batch = [shared_pattern, shared_filters, shared_vars, dict,
-                     type_id, num_stars, star_mode, mapping_predicate](
-                        const mr::TaggedRecord* recs, size_t n,
-                        mr::MapContext* ctx) {
-      TripleGroup tg;
-      NestedTripleGroup ntg;
-      ntg.stars.resize(num_stars);
-      ntga::BindingExpansion exp;
-      std::vector<rdf::TermId> row_buf;
-      std::string val_buf;
-      for (size_t i = 0; i < n; ++i) {
-        if (star_mode) {
-          if (!ntga::ParseTripleGroupInto(recs[i].record->value, &tg).ok()) {
-            continue;
-          }
-          auto filtered = FilterStarWithFilters(
-              tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-          if (!filtered.has_value()) continue;
-          for (int s = 1; s < num_stars; ++s) {
-            ntg.stars[s].subject = rdf::kInvalidTermId;
-            ntg.stars[s].triples.clear();
-          }
-          ntg.stars[0] = std::move(*filtered);
-        } else if (!ntga::ParseNestedInto(recs[i].record->value, num_stars,
-                                          &ntg)
-                        .ok()) {
-          continue;
-        }
-        ntga::ExpandBindingsInto(ntg, *shared_pattern, *shared_vars,
-                                 /*skip_unbound=*/false, &exp);
-        uint64_t emitted = 0;
-        for (size_t r = 0; r < exp.num_rows; ++r) {
-          const rdf::TermId* mapping = exp.row(r);
-          if (mapping_predicate) {
-            row_buf.assign(mapping, mapping + exp.width);
-            if (!mapping_predicate(row_buf)) continue;
-          }
-          val_buf.clear();
-          AppendRow(&val_buf, mapping, exp.width);
-          ctx->Emit("", val_buf);
-          ++emitted;
-        }
-        if (emitted > 0) ctx->NoteFactorizedGroup(emitted);
-      }
-    };
-  } else if (star_mode) {
-    job.map = [shared_pattern, shared_filters, dict, type_id, num_stars,
-               process](const mr::Record& r, int, mr::MapContext* ctx) {
-      auto tg = ntga::ParseTripleGroup(r.value);
-      if (!tg.ok()) return;
-      auto filtered = FilterStarWithFilters(
-          *tg, shared_pattern->stars[0], type_id, *shared_filters, *dict);
-      if (!filtered.has_value()) return;
-      NestedTripleGroup ntg;
-      ntg.stars.resize(num_stars);
-      ntg.stars[0] = std::move(*filtered);
-      process(ntg, ctx);
-    };
-  } else {
-    job.map = [num_stars, process](const mr::Record& r, int,
-                                   mr::MapContext* ctx) {
-      auto parsed = ntga::ParseNested(r.value, num_stars);
-      if (!parsed.ok()) return;
-      process(*parsed, ctx);
-    };
-  }
+  });
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
   return TableRef{out_file, columns};

@@ -17,9 +17,7 @@
 
 namespace rapida::engine {
 
-/// Map of composite variable name -> single-variable filters pushed into
-/// star matching (evaluated per candidate triple).
-using PushedFilters = std::map<std::string, std::vector<const sparql::Expr*>>;
+using ntga::PushedFilters;
 
 /// Per-grouping work item for the TG Agg-Join cycle.
 struct NtgaGrouping {

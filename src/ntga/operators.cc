@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "analytics/value.h"
+#include "sparql/expr_eval.h"
 #include "util/logging.h"
 
 namespace rapida::ntga {
@@ -16,6 +17,30 @@ DataPropKey KeyOfTriple(const rdf::Triple& t, rdf::TermId type_id) {
   key.property = t.p;
   if (t.p == type_id) key.type_object = t.o;
   return key;
+}
+
+/// Writes the cross product of out->candidates[0..width) row-major into
+/// the flat buffer (idx[0] varies fastest); width 0 is one empty mapping.
+void AppendCrossProduct(BindingExpansion* out) {
+  const size_t width = out->width;
+  if (width == 0) {
+    out->num_rows = 1;
+    return;
+  }
+  out->idx.assign(width, 0);
+  std::vector<size_t>& idx = out->idx;
+  while (true) {
+    for (size_t i = 0; i < width; ++i) {
+      out->rows.push_back(out->candidates[i][idx[i]]);
+    }
+    ++out->num_rows;
+    size_t i = 0;
+    while (i < width && ++idx[i] == out->candidates[i].size()) {
+      idx[i] = 0;
+      ++i;
+    }
+    if (i == width) break;
+  }
 }
 
 }  // namespace
@@ -66,6 +91,151 @@ std::optional<TripleGroup> FilterStar(const TripleGroup& tg,
     }
   }
   return out;
+}
+
+std::optional<TripleGroup> FilterStarWithFilters(
+    const TripleGroup& tg, const ResolvedStar& star, rdf::TermId type_id,
+    const PushedFilters& pushed, const rdf::Dictionary& dict) {
+  std::optional<TripleGroup> base = FilterStar(tg, star, type_id);
+  if (!base.has_value()) return std::nullopt;
+  for (const ResolvedStarTriple& pt : star.triples) {
+    if (pt.object_var.empty()) continue;
+    auto it = pushed.find(pt.object_var);
+    if (it == pushed.end() || it->second.empty()) continue;
+    auto fails = [&](const rdf::Triple& t) {
+      if (!(KeyOfTriple(t, type_id) == pt.key)) {
+        return false;  // triple belongs to another property
+      }
+      auto resolve = [&pt, &t](const std::string& v) {
+        return v == pt.object_var ? t.o : rdf::kInvalidTermId;
+      };
+      for (const sparql::Expr* f : it->second) {
+        if (!sparql::EffectiveBool(sparql::EvaluateExpr(*f, resolve, dict))) {
+          return true;
+        }
+      }
+      return false;
+    };
+    auto& triples = base->triples;
+    triples.erase(std::remove_if(triples.begin(), triples.end(), fails),
+                  triples.end());
+    if (star.primary.count(pt.key) > 0 &&
+        !base->HasProp(pt.key, type_id, pt.const_object)) {
+      return std::nullopt;
+    }
+  }
+  return base;
+}
+
+StarTextFilter::StarTextFilter(const ResolvedStar& star, rdf::TermId type_id,
+                               const PushedFilters& pushed,
+                               const rdf::Dictionary* dict)
+    : star_(star), type_id_(type_id), pushed_(pushed), dict_(dict) {
+  text_path_ = star.triples.size() <= 64;
+  if (!text_path_) return;
+  for (size_t i = 0; i < star.triples.size(); ++i) {
+    const ResolvedStarTriple& rt = star.triples[i];
+    PatternTriple pt;
+    pt.key = rt.key;
+    pt.const_object = rt.const_object;
+    pt.object_var = rt.object_var;
+    auto it = rt.object_var.empty() ? pushed.end() : pushed.find(rt.object_var);
+    if (it != pushed.end()) pt.filters = it->second;
+    const uint64_t bit = uint64_t{1} << i;
+    const bool primary = star.primary.count(rt.key) > 0;
+    if (primary) primary_mask_ |= bit;
+    if (!pt.filters.empty()) {
+      filtered_mask_ |= bit;
+      if (primary) filtered_primary_mask_ |= bit;
+    }
+    triples_.push_back(std::move(pt));
+  }
+}
+
+bool StarTextFilter::FailsFilters(const PatternTriple& pt,
+                                  rdf::TermId object) const {
+  auto resolve = [&pt, object](const std::string& v) {
+    return v == pt.object_var ? object : rdf::kInvalidTermId;
+  };
+  for (const sparql::Expr* f : pt.filters) {
+    if (!sparql::EffectiveBool(sparql::EvaluateExpr(*f, resolve, *dict_))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool StarTextFilter::AppendFiltered(std::string_view tg,
+                                    std::string* out) const {
+  if (!star_.satisfiable) return false;
+  const size_t start = out->size();
+  if (text_path_) {
+    // FilterStarWithFilters on the text. `matched` is FilterStar's primary
+    // check (a triple matches key and constant), `survived` the pushdown's
+    // re-check on what the FILTERs left; a triple is dropped when any
+    // filtered pattern triple of its key rejects its object. The FILTERs
+    // run only once the primary check has passed, as in the reference:
+    // a second pass when the star has any.
+    uint64_t matched = 0, survived = 0;
+    auto visit = [&](bool evaluate, rdf::TermId p, rdf::TermId o,
+                     std::string_view segment) {
+      const DataPropKey key{p, p == type_id_ ? o : rdf::kInvalidTermId};
+      uint64_t same_key = 0, hit = 0;
+      for (size_t i = 0; i < triples_.size(); ++i) {
+        const PatternTriple& pt = triples_[i];
+        if (!(pt.key == key)) continue;
+        const uint64_t bit = uint64_t{1} << i;
+        same_key |= bit;
+        if (pt.const_object == rdf::kInvalidTermId || pt.const_object == o) {
+          hit |= bit;
+        }
+      }
+      if (hit == 0) return;  // projected away
+      matched |= hit;
+      if (!evaluate) return;
+      for (uint64_t m = same_key & filtered_mask_; m != 0; m &= m - 1) {
+        if (FailsFilters(triples_[__builtin_ctzll(m)], o)) return;
+      }
+      survived |= hit;
+      out->append(segment);
+    };
+    const bool filtered = filtered_mask_ != 0;
+    rdf::TermId subject = rdf::kInvalidTermId;
+    bool canonical = true;
+    if (filtered) {
+      canonical = ForEachTripleText(
+          tg, &subject, [&](rdf::TermId p, rdf::TermId o, std::string_view) {
+            visit(false, p, o, {});
+          });
+      if (canonical && (matched & primary_mask_) != primary_mask_) {
+        return false;
+      }
+    }
+    if (canonical) {
+      out->append(tg.substr(0, tg.find(';')));
+      canonical = ForEachTripleText(
+          tg, &subject,
+          [&](rdf::TermId p, rdf::TermId o, std::string_view segment) {
+            visit(true, p, o, segment);
+          });
+    }
+    if (canonical) {
+      if ((matched & primary_mask_) == primary_mask_ &&
+          (survived & filtered_primary_mask_) == filtered_primary_mask_) {
+        return true;
+      }
+      out->resize(start);
+      return false;
+    }
+    out->resize(start);
+  }
+  auto parsed = ParseTripleGroup(tg);
+  if (!parsed.ok()) return false;
+  auto filtered =
+      FilterStarWithFilters(*parsed, star_, type_id_, pushed_, *dict_);
+  if (!filtered.has_value()) return false;
+  SerializeTripleGroupTo(*filtered, out);
+  return true;
 }
 
 std::vector<std::optional<TripleGroup>> NSplit(
@@ -166,6 +336,8 @@ std::vector<NestedTripleGroup> AlphaJoin(
   return out;
 }
 
+namespace {
+
 void ExpandBindingsInto(const NestedTripleGroup& ntg,
                         const ResolvedPattern& pattern,
                         const std::vector<std::string>& vars,
@@ -231,27 +403,137 @@ void ExpandBindingsInto(const NestedTripleGroup& ntg,
     values.erase(std::unique(values.begin(), values.end()), values.end());
   }
 
-  if (vars.empty()) {
-    out->num_rows = 1;  // one empty mapping
-    return;
-  }
+  AppendCrossProduct(out);
+}
 
-  // Cross product, row-major into the flat buffer (idx[0] varies fastest —
-  // same row order as the nested variant produced).
-  out->idx.assign(vars.size(), 0);
-  std::vector<size_t>& idx = out->idx;
-  while (true) {
-    for (size_t i = 0; i < vars.size(); ++i) {
-      out->rows.push_back(out->candidates[i][idx[i]]);
+}  // namespace
+
+SlotBindings::SlotBindings(
+    const ResolvedPattern& pattern,
+    const std::vector<std::vector<std::string>>& var_lists,
+    const std::vector<AlphaCondition>& alphas)
+    : type_id_(pattern.type_id),
+      num_stars_(static_cast<int>(pattern.stars.size())),
+      star_slots_(pattern.stars.size()) {
+  // Same source order as ExpandBindingsInto's scan: per star, the subject
+  // first, then the pattern triples binding the variable.
+  for (const std::vector<std::string>& vars : var_lists) {
+    std::vector<std::vector<Source>>& list = sources_.emplace_back();
+    for (const std::string& var : vars) {
+      std::vector<Source>& srcs = list.emplace_back();
+      for (int s = 0; s < num_stars_; ++s) {
+        const ResolvedStar& star = pattern.stars[s];
+        if (star.subject_var == var) srcs.push_back(Source{s, -1});
+        for (const ResolvedStarTriple& t : star.triples) {
+          if (t.object_var == var) srcs.push_back(Source{s, SlotOf(s, t.key)});
+        }
+      }
     }
-    ++out->num_rows;
-    size_t i = 0;
-    while (i < vars.size() && ++idx[i] == out->candidates[i].size()) {
-      idx[i] = 0;
-      ++i;
-    }
-    if (i == vars.size()) break;
   }
+  for (const AlphaCondition& cond : alphas) {
+    std::vector<AlphaTerm>& terms = alphas_.emplace_back();
+    for (const AlphaConstraint& c : cond) {
+      AlphaTerm term;
+      term.present = c.present;
+      if (c.star >= 0 && c.star < num_stars_ &&
+          c.key.property != rdf::kInvalidTermId) {
+        term.slot = SlotOf(c.star, c.key);
+      }
+      terms.push_back(term);
+    }
+  }
+}
+
+int SlotBindings::SlotOf(int star, const DataPropKey& key) {
+  for (int slot : star_slots_[star]) {
+    if (slots_[slot].key == key) return slot;
+  }
+  slots_.push_back(Slot{star, key});
+  star_slots_[star].push_back(static_cast<int>(slots_.size() - 1));
+  return static_cast<int>(slots_.size() - 1);
+}
+
+bool SlotBindings::Load(const std::string_view* stars, Values* values) const {
+  values->subjects.resize(num_stars_);
+  values->objects.resize(slots_.size());
+  for (auto& objs : values->objects) objs.clear();
+  for (int s = 0; s < num_stars_; ++s) {
+    rdf::TermId& subject = values->subjects[s];
+    subject = rdf::kInvalidTermId;
+    if (stars[s].empty()) continue;
+    const std::vector<int>& mine = star_slots_[s];
+    if (mine.empty()) {
+      const char* p = stars[s].data();
+      if (!ReadCanonicalId(&p, p + stars[s].size(), &subject)) return false;
+      continue;
+    }
+    bool ok = ForEachTripleText(
+        stars[s], &subject,
+        [&](rdf::TermId p, rdf::TermId o, std::string_view) {
+          const DataPropKey key{p, p == type_id_ ? o : rdf::kInvalidTermId};
+          for (int slot : mine) {
+            if (slots_[slot].key == key) values->objects[slot].push_back(o);
+          }
+        });
+    if (!ok) return false;
+    if (subject == rdf::kInvalidTermId) {
+      for (int slot : mine) values->objects[slot].clear();  // unfilled
+    }
+  }
+  return true;
+}
+
+bool SlotBindings::Satisfies(size_t alpha, const Values& values) const {
+  for (const AlphaTerm& term : alphas_[alpha]) {
+    bool present = term.slot >= 0 && !values.objects[term.slot].empty();
+    if (present != term.present) return false;
+  }
+  return true;
+}
+
+void SlotBindings::Expand(size_t list, const Values& values,
+                          bool skip_unbound, BindingExpansion* out) const {
+  const std::vector<std::vector<Source>>& vars = sources_[list];
+  out->width = vars.size();
+  out->num_rows = 0;
+  out->rows.clear();
+  if (out->candidates.size() < vars.size()) out->candidates.resize(vars.size());
+  for (size_t vi = 0; vi < vars.size(); ++vi) {
+    std::vector<rdf::TermId>& cand = out->candidates[vi];
+    cand.clear();
+    bool first_source = true;
+    for (const Source& src : vars[vi]) {
+      const rdf::TermId* begin = nullptr;
+      const rdf::TermId* end = nullptr;
+      if (values.subjects[src.star] != rdf::kInvalidTermId) {
+        if (src.slot < 0) {
+          begin = &values.subjects[src.star];
+          end = begin + 1;
+        } else {
+          const std::vector<rdf::TermId>& objs = values.objects[src.slot];
+          begin = objs.data();
+          end = begin + objs.size();
+        }
+      }
+      if (first_source) {
+        cand.assign(begin, end);
+        first_source = false;
+      } else {
+        size_t w = 0;
+        for (rdf::TermId v : cand) {
+          if (std::find(begin, end, v) != end) cand[w++] = v;
+        }
+        cand.resize(w);
+      }
+    }
+    if (cand.empty()) {
+      if (skip_unbound) return;  // num_rows == 0
+      cand.push_back(rdf::kInvalidTermId);
+    }
+    std::sort(cand.begin(), cand.end());
+    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+  }
+  AppendCrossProduct(out);
 }
 
 std::vector<std::vector<rdf::TermId>> ExpandBindings(

@@ -1,9 +1,11 @@
 #ifndef RAPIDA_NTGA_OPERATORS_H_
 #define RAPIDA_NTGA_OPERATORS_H_
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analytics/aggregates.h"
@@ -33,6 +35,57 @@ std::vector<TripleGroup> OptionalGroupFilter(
 std::optional<TripleGroup> FilterStar(const TripleGroup& tg,
                                       const ResolvedStar& star,
                                       rdf::TermId type_id);
+
+/// Single-variable FILTERs pushed into star matching, keyed by composite
+/// variable (evaluated per candidate triple).
+using PushedFilters = std::map<std::string, std::vector<const sparql::Expr*>>;
+
+/// TG_OptGrpFilter with triple-level filter pushdown: after the star
+/// projection, triples whose object fails a pushed single-variable filter
+/// are removed; losing every triple of a *primary* property rejects the
+/// whole group (secondary properties just end up absent — exactly the
+/// per-pattern semantics the α conditions test later).
+std::optional<TripleGroup> FilterStarWithFilters(
+    const TripleGroup& tg, const ResolvedStar& star, rdf::TermId type_id,
+    const PushedFilters& pushed, const rdf::Dictionary& dict);
+
+/// FilterStarWithFilters on the serialized form, compiled once per job.
+/// One pass over "subj;p,o;..." checks the primary constraints and copies
+/// each kept ";p,o" segment verbatim; an object is evaluated only where a
+/// pushed FILTER reads it. Text that is not canonical takes the
+/// parse/filter/serialize path, so the output always equals
+/// SerializeTripleGroup(*FilterStarWithFilters(ParseTripleGroup(tg))).
+/// Immutable after construction: one instance serves concurrent tasks.
+class StarTextFilter {
+ public:
+  StarTextFilter(const ResolvedStar& star, rdf::TermId type_id,
+                 const PushedFilters& pushed, const rdf::Dictionary* dict);
+
+  /// Appends the filtered group to `out` and returns true; returns false,
+  /// leaving `out` as it was, when the group is rejected or unparsable.
+  bool AppendFiltered(std::string_view tg, std::string* out) const;
+
+ private:
+  /// One pattern triple of the star. Bit i of the masks is triples_[i].
+  struct PatternTriple {
+    DataPropKey key;
+    rdf::TermId const_object = rdf::kInvalidTermId;
+    std::string object_var;
+    std::vector<const sparql::Expr*> filters;  // pushed on object_var
+  };
+
+  bool FailsFilters(const PatternTriple& pt, rdf::TermId object) const;
+
+  ResolvedStar star_;
+  rdf::TermId type_id_;
+  PushedFilters pushed_;
+  const rdf::Dictionary* dict_;
+  std::vector<PatternTriple> triples_;
+  bool text_path_ = true;  // false past 64 pattern triples (mask width)
+  uint64_t primary_mask_ = 0;           // key is primary
+  uint64_t filtered_primary_mask_ = 0;  // ...and has pushed filters
+  uint64_t filtered_mask_ = 0;          // has pushed filters
+};
 
 // ---------------------------------------------------------------------------
 // χ — n-split (Def. 3.4)
@@ -99,10 +152,11 @@ std::vector<std::vector<rdf::TermId>> ExpandBindings(
     const NestedTripleGroup& ntg, const ResolvedPattern& pattern,
     const std::vector<std::string>& vars, bool skip_unbound);
 
-/// Flat, scratch-reusing form of ExpandBindings for per-record loops: rows
-/// are written row-major into `rows` (num_rows x width) and every internal
-/// buffer is reused across calls, so a warm expansion allocates nothing.
-/// Row order is identical to ExpandBindings'.
+/// Flat, scratch-reusing expansion output for per-record loops
+/// (SlotBindings::Expand): rows are written row-major into `rows`
+/// (num_rows x width) and every internal buffer is reused across calls, so
+/// a warm expansion allocates nothing. Row order is identical to
+/// ExpandBindings'.
 struct BindingExpansion {
   std::vector<rdf::TermId> rows;
   size_t width = 0;
@@ -116,10 +170,60 @@ struct BindingExpansion {
   std::vector<rdf::TermId> vals;
 };
 
-void ExpandBindingsInto(const NestedTripleGroup& ntg,
-                        const ResolvedPattern& pattern,
-                        const std::vector<std::string>& vars,
-                        bool skip_unbound, BindingExpansion* out);
+/// ExpandBindings and SatisfiesAlpha over serialized stars, with the
+/// variable lookups done once per job: every variable occurrence and every
+/// α constraint is resolved to a star's subject or to a slot — the objects
+/// of one property key of one star. Per record, Load reads each filled
+/// star's triples once into the slot value lists; Expand and Satisfies then
+/// read only the slots. Immutable after construction; the per-record state
+/// lives in a caller-owned Values scratch.
+class SlotBindings {
+ public:
+  struct Values {
+    std::vector<rdf::TermId> subjects;              // per star; 0 = unfilled
+    std::vector<std::vector<rdf::TermId>> objects;  // per slot, triple order
+  };
+
+  SlotBindings(const ResolvedPattern& pattern,
+               const std::vector<std::vector<std::string>>& var_lists,
+               const std::vector<AlphaCondition>& alphas);
+
+  /// Decodes stars[0..num_stars): each a canonical "subj;p,o;..." text, or
+  /// empty when unfilled. Returns false if a star is not canonical.
+  bool Load(const std::string_view* stars, Values* values) const;
+
+  /// SatisfiesAlpha(ntg, alphas[alpha]) for the loaded match.
+  bool Satisfies(size_t alpha, const Values& values) const;
+
+  /// ExpandBindings(ntg, pattern, var_lists[list], skip_unbound) for the
+  /// loaded match: same rows in the same order.
+  void Expand(size_t list, const Values& values, bool skip_unbound,
+              BindingExpansion* out) const;
+
+ private:
+  struct Slot {
+    int star = 0;
+    DataPropKey key;
+  };
+  /// Where one occurrence of a variable takes its values.
+  struct Source {
+    int star = 0;
+    int slot = -1;  // -1: the star's subject
+  };
+  struct AlphaTerm {
+    int slot = -1;  // -1: never present (bad star or unknown property)
+    bool present = true;
+  };
+
+  int SlotOf(int star, const DataPropKey& key);
+
+  rdf::TermId type_id_;
+  int num_stars_;
+  std::vector<Slot> slots_;
+  std::vector<std::vector<int>> star_slots_;  // star -> its slots
+  std::vector<std::vector<std::vector<Source>>> sources_;  // list, var
+  std::vector<std::vector<AlphaTerm>> alphas_;
+};
 
 // ---------------------------------------------------------------------------
 // γ^AgJ — TG Agg-Join (Def. 3.6, Alg. 3)

@@ -1,6 +1,7 @@
 #include "ntga/triplegroup.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "mapreduce/kernels.h"
 #include "util/string_util.h"
@@ -152,6 +153,84 @@ StatusOr<NestedTripleGroup> ParseNested(std::string_view data,
   NestedTripleGroup ntg;
   RAPIDA_RETURN_IF_ERROR(ParseNestedInto(data, num_stars, &ntg));
   return ntg;
+}
+
+bool ViewNested(std::string_view data, int num_stars,
+                std::string_view* stars) {
+  for (int s = 0; s < num_stars; ++s) stars[s] = std::string_view();
+  const char* p = data.data();
+  const char* end = p + data.size();
+  int64_t prev = -1;
+  while (p != end) {
+    if (prev >= 0 && *p++ != '#') return false;
+    rdf::TermId star = 0;
+    if (!ReadCanonicalId(&p, end, &star) || star <= prev ||
+        star >= static_cast<uint64_t>(num_stars) || p == end || *p++ != ':') {
+      return false;
+    }
+    const char* tg_end = static_cast<const char*>(
+        std::memchr(p, '#', static_cast<size_t>(end - p)));
+    if (tg_end == nullptr) tg_end = end;
+    std::string_view tg(p, static_cast<size_t>(tg_end - p));
+    rdf::TermId subject = rdf::kInvalidTermId;
+    if (!ForEachTripleText(tg, &subject, [](rdf::TermId, rdf::TermId,
+                                            std::string_view) {}) ||
+        subject == rdf::kInvalidTermId) {
+      return false;
+    }
+    stars[star] = tg;
+    prev = star;
+    p = tg_end;
+  }
+  return true;
+}
+
+bool SplitNested(std::string_view data, int num_stars,
+                 std::string_view* stars) {
+  for (int s = 0; s < num_stars; ++s) stars[s] = std::string_view();
+  const char* p = data.data();
+  const char* end = p + data.size();
+  while (p != end) {
+    rdf::TermId star = 0;
+    if (!ReadCanonicalId(&p, end, &star) ||
+        star >= static_cast<uint64_t>(num_stars) || p == end || *p++ != ':') {
+      return false;
+    }
+    const char* tg_end = static_cast<const char*>(
+        std::memchr(p, '#', static_cast<size_t>(end - p)));
+    if (tg_end == nullptr) tg_end = end;
+    stars[star] = std::string_view(p, static_cast<size_t>(tg_end - p));
+    p = tg_end == end ? end : tg_end + 1;
+  }
+  return true;
+}
+
+bool ViewNestedCanonical(std::string_view data, int num_stars,
+                         std::string* canon, std::string_view* bytes,
+                         std::string_view* stars) {
+  if (ViewNested(data, num_stars, stars)) {
+    *bytes = data;
+    return true;
+  }
+  NestedTripleGroup ntg;
+  if (!ParseNestedInto(data, num_stars, &ntg).ok()) return false;
+  canon->clear();
+  SerializeNestedTo(ntg, canon);
+  *bytes = *canon;
+  return ViewNested(*canon, num_stars, stars);
+}
+
+void SpliceNestedTo(const std::string_view* left, const std::string_view* right,
+                    int num_stars, std::string* out) {
+  size_t start = out->size();
+  for (int s = 0; s < num_stars; ++s) {
+    std::string_view tg = right[s].empty() ? left[s] : right[s];
+    if (tg.empty()) continue;
+    if (out->size() > start) *out += '#';
+    mr::kernels::AppendDecimal(out, static_cast<uint64_t>(s));
+    *out += ':';
+    out->append(tg);
+  }
 }
 
 }  // namespace rapida::ntga

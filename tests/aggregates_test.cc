@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "analytics/value.h"
 
 namespace rapida::analytics {
@@ -138,6 +142,83 @@ TEST_F(AggregatesTest, CompareTermsNumericAware) {
   EXPECT_EQ(CompareTerms(dict_, five_int, five_plain), 0);
   EXPECT_LT(CompareTerms(dict_, five_int, six), 0);
   EXPECT_GT(CompareTerms(dict_, six, five_plain), 0);
+}
+
+// MIN/MAX over mixed numeric, IRI, literal and unbound values: the cached
+// numeric comparison must pick the same extremes as a CompareTerms fold,
+// through AddTerm, DeserializePartial and Merge alike, and the partial
+// state must serialize to the same bytes.
+TEST_F(AggregatesTest, MinMaxCacheMatchesCompareTermsFold) {
+  std::vector<rdf::TermId> pool = {
+      dict_.InternInt(5),          dict_.InternLiteral("5.0"),
+      dict_.InternInt(-3),         dict_.InternLiteral("2.5", rdf::kXsdDouble),
+      dict_.InternIri("http://x/a"), dict_.InternIri("http://x/b"),
+      dict_.InternLiteral("apple"), dict_.InternLiteral("zebra"),
+      dict_.InternInt(40),         rdf::kInvalidTermId,
+  };
+  uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (int round = 0; round < 50; ++round) {
+    std::vector<rdf::TermId> values(1 + next() % 12);
+    for (rdf::TermId& v : values) v = pool[next() % pool.size()];
+
+    // The reference: CompareTerms folds and the SerializePartial layout
+    // "count,sum,has,min,max,sample,concat".
+    uint64_t count = 0;
+    double sum = 0;
+    rdf::TermId mn = rdf::kInvalidTermId, mx = rdf::kInvalidTermId;
+    rdf::TermId sample = rdf::kInvalidTermId;
+    std::string concat;
+    for (rdf::TermId v : values) {
+      if (v == rdf::kInvalidTermId) continue;
+      if (count++ == 0) {
+        mn = mx = v;
+      } else {
+        if (CompareTerms(dict_, v, mn) < 0) mn = v;
+        if (CompareTerms(dict_, v, mx) > 0) mx = v;
+      }
+      if (auto num = dict_.AsNumber(v)) sum += *num;
+      if (sample == rdf::kInvalidTermId || v < sample) sample = v;
+      if (!concat.empty()) concat += ':';
+      concat += std::to_string(v);
+    }
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%llu,%.17g,%d,%u,%u,%u,",
+                  static_cast<unsigned long long>(count), sum,
+                  count > 0 ? 1 : 0, mn, mx, sample);
+
+    for (AggFunc f : {AggFunc::kMin, AggFunc::kMax, AggFunc::kGroupConcat}) {
+      const std::string expected =
+          std::string(buf) + (f == AggFunc::kGroupConcat ? concat : "");
+      Aggregator whole(f, false);
+      for (rdf::TermId v : values) whole.AddTerm(v, dict_);
+      EXPECT_EQ(whole.SerializePartial(), expected);
+
+      // Three contiguous parts: a live one, one rebuilt by
+      // DeserializePartial, and a live one merged into a rebuilt one.
+      const size_t cut1 = values.size() / 3, cut2 = 2 * values.size() / 3;
+      Aggregator p0(f, false), p1(f, false), p2(f, false);
+      for (size_t i = 0; i < values.size(); ++i) {
+        (i < cut1 ? p0 : i < cut2 ? p1 : p2).AddTerm(values[i], dict_);
+      }
+      auto r1 = Aggregator::DeserializePartial(f, p1.SerializePartial());
+      ASSERT_TRUE(r1.ok());
+      p0.Merge(*r1, dict_);
+      auto r0 = Aggregator::DeserializePartial(f, p0.SerializePartial());
+      ASSERT_TRUE(r0.ok());
+      r0->Merge(p2, dict_);
+      EXPECT_EQ(r0->SerializePartial(), expected);
+      EXPECT_EQ(r0->Finalize(&dict_), whole.Finalize(&dict_));
+      if (f != AggFunc::kGroupConcat) {
+        EXPECT_EQ(whole.Finalize(&dict_), f == AggFunc::kMin ? mn : mx);
+      }
+    }
+  }
 }
 
 }  // namespace

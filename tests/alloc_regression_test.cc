@@ -1,5 +1,6 @@
 // Allocation regression gate for the MapReduce hot path: a representative
-// shuffle+reduce job must stay far below one heap allocation per record.
+// shuffle+reduce job, a join-shaped job and an NTGA α-join cycle must each
+// stay far below one heap allocation per record.
 // The columnar-store record representation makes the emit/shuffle/sort/
 // reduce loops allocation-free per record (buffer growth, task vectors and
 // thread bookkeeping amortize away), so the whole job costs O(tasks + keys)
@@ -15,8 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "engines/dataset.h"
+#include "engines/ntga_exec.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
+#include "rdf/graph.h"
 #include "util/string_util.h"
 
 namespace {
@@ -192,6 +196,81 @@ TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
   EXPECT_LT(allocations, static_cast<size_t>(kInputRecords) / 2)
       << "join hot path regressed to per-record heap allocation ("
       << allocations << " allocations for " << kInputRecords << " records)";
+}
+
+// Same gate for the NTGA data plane: one TG_AlphaJoin cycle (Alg. 2) of
+// a two-star offer/product pattern over real triplegroup files, with an α
+// condition on the last cycle. The map filters each raw triplegroup on its
+// text and emits it through reused buffers, and the reduce splices star
+// texts from TaskState pools, so no step builds a TripleGroup per record.
+TEST(AllocRegressionTest, NtgaAlphaJoinStaysUnderPerTriplegroupBudget) {
+  constexpr int kProducts = 2000;
+  constexpr int kOffersPerProduct = 4;
+  const std::string x = "http://example.org/";
+
+  rdf::Graph graph;
+  for (int p = 0; p < kProducts; ++p) {
+    const std::string product = x + "product" + std::to_string(p);
+    graph.AddIri(product, rdf::kRdfType, x + "Product");
+    graph.AddLit(product, x + "label", "label-" + std::to_string(p));
+    for (int o = 0; o < kOffersPerProduct; ++o) {
+      const std::string offer =
+          x + "offer" + std::to_string(p * kOffersPerProduct + o);
+      graph.AddIri(offer, x + "product", product);
+      graph.AddInt(offer, x + "price", 100 + o);
+    }
+  }
+  engine::Dataset dataset(std::move(graph));
+  ASSERT_TRUE(dataset.EnsureTripleGroups().ok());
+  const rdf::Dictionary& dict = dataset.dict();
+  auto key = [&](const std::string& p) {
+    return ntga::DataPropKey{dict.LookupIri(x + p), rdf::kInvalidTermId};
+  };
+
+  // ?o product ?p ; price ?x .  ?p a Product ; label ?l .
+  ntga::ResolvedPattern pattern;
+  pattern.type_id = dataset.type_id();
+  ntga::ResolvedStar offer;
+  offer.subject_var = "o";
+  offer.triples = {{key("product"), "p"}, {key("price"), "x"}};
+  offer.primary = {key("product"), key("price")};
+  ntga::ResolvedStar product;
+  product.subject_var = "p";
+  const ntga::DataPropKey type_key{dataset.type_id(),
+                                   dict.LookupIri(x + "Product")};
+  product.triples = {{type_key, ""}, {key("label"), "l"}};
+  product.primary = {type_key, key("label")};
+  pattern.stars = {offer, product};
+  ntga::ResolvedJoin join;
+  join.star_a = 0;
+  join.role_a = ntga::JoinRole::kObject;
+  join.prop_a = key("product");
+  join.star_b = 1;
+  join.role_b = ntga::JoinRole::kSubject;
+  pattern.joins = {join};
+  const std::vector<ntga::AlphaCondition> alphas = {
+      {ntga::AlphaConstraint{1, key("label"), true}}};
+
+  Cluster cluster(ClusterConfig{}, &dataset.dfs());
+  engine::NtgaExec exec(&cluster, &dataset, engine::EngineOptions{},
+                        "alloc-ntga");
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_seq_cst);
+  auto matches = exec.ComputePatternMatches(pattern, alphas, {}, "aj");
+  g_counting.store(false, std::memory_order_seq_cst);
+  ASSERT_TRUE(matches.ok()) << matches.status();
+  auto out = dataset.dfs().Open(matches->nested_file);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ((*out)->records.size(),
+            static_cast<size_t>(kProducts * kOffersPerProduct));
+
+  constexpr size_t kInputGroups = kProducts * (1 + kOffersPerProduct);
+  size_t allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(allocations, kInputGroups / 2)
+      << "NTGA α-join regressed to per-record heap allocation ("
+      << allocations << " allocations for " << kInputGroups
+      << " input triplegroups)";
+  exec.Cleanup();
 }
 
 }  // namespace

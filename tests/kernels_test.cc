@@ -98,37 +98,6 @@ TEST(KernelsTest, RowCodecVariantsMatchScalar) {
   }
 }
 
-TEST(KernelsTest, TokenizeRowMatchesFieldTokenizer) {
-  for (const char* input : {"", "a", ";", "a;;b", "a;b;", ";a", "x,y;z"}) {
-    mr::kernels::FieldColumns cols;
-    mr::kernels::TokenizeRow(input, ';', &cols);
-    std::vector<std::string> batch(cols.fields.begin(), cols.fields.end());
-    std::vector<std::string> scalar;
-    FieldTokenizer fields(input, ';');
-    std::string_view part;
-    while (fields.Next(&part)) scalar.emplace_back(part);
-    EXPECT_EQ(batch, scalar) << "input: '" << input << "'";
-    EXPECT_EQ(cols.num_rows(), 1u);
-  }
-}
-
-TEST(KernelsTest, TokenizeValuesCoversWholeBatch) {
-  std::vector<std::string> values = {"1;2,3", "", "7;8,9;10,11"};
-  std::vector<mr::Record> records(values.size());
-  std::vector<mr::TaggedRecord> tagged(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    records[i] = mr::MakeRecord("", values[i]);
-    tagged[i] = mr::TaggedRecord{&records[i], 0};
-  }
-  mr::kernels::FieldColumns cols;
-  mr::kernels::TokenizeValues(tagged.data(), tagged.size(), ';', &cols);
-  ASSERT_EQ(cols.num_rows(), 3u);
-  EXPECT_EQ(cols.fields[cols.row_begin(0)], "1");
-  EXPECT_EQ(cols.fields[cols.row_begin(1)], "");
-  EXPECT_EQ(cols.row_end[2] - cols.row_begin(2), 3u);
-  EXPECT_EQ(cols.fields[cols.row_end[2] - 1], "10,11");
-}
-
 TEST(KernelsTest, TripleGroupCodecVariantsMatchScalar) {
   ntga::TripleGroup tg;
   tg.subject = 17;

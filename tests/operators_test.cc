@@ -585,5 +585,298 @@ TEST_F(OperatorsTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseNested("nocolon", 3).ok());
 }
 
+// ---------------------------------------------------------------------------
+// Text-level operators vs the struct-based reference: byte identity over
+// generated triplegroups (multi-valued properties, rdf:type with type
+// objects, constant objects, pushed FILTERs that drop triples, stars with
+// no match, nested groups with unfilled stars).
+// ---------------------------------------------------------------------------
+class TextOperatorsPropertyTest : public OperatorsTest {
+ protected:
+  uint64_t Next() {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return rng_;
+  }
+  size_t Below(size_t n) { return static_cast<size_t>(Next() % n); }
+  bool Coin() { return Next() % 2 == 0; }
+
+  rdf::TermId Prop() { return Id("p" + std::to_string(Below(4))); }
+  rdf::TermId TypeObj() { return Id("T" + std::to_string(Below(3))); }
+  /// Objects: small integers (what the FILTERs compare) and IRIs (which
+  /// make a numeric FILTER error out, dropping the triple).
+  rdf::TermId Obj() {
+    return Coin() ? dict_.InternInt(static_cast<int64_t>(Below(8)))
+                  : Id("o" + std::to_string(Below(4)));
+  }
+
+  TripleGroup RandomTg(const std::vector<DataPropKey>& favoured) {
+    TripleGroup tg;
+    tg.subject = Id("s" + std::to_string(Below(50)));
+    size_t n = Below(7);
+    for (size_t i = 0; i < n; ++i) {
+      rdf::Triple t{tg.subject, Prop(), Obj()};
+      if (Below(4) == 0) {
+        t.p = type_id_;
+        t.o = TypeObj();
+      } else if (!favoured.empty() && Coin()) {
+        const DataPropKey& k = favoured[Below(favoured.size())];
+        t.p = k.property;
+        if (k.is_type()) t.o = k.type_object;
+      }
+      tg.triples.push_back(t);
+    }
+    return tg;
+  }
+
+  /// A star with 1-5 pattern triples: variable objects (some filtered,
+  /// some sharing a key with a constant), type restrictions, constants.
+  ResolvedStar RandomStar(int star_index, PushedFilters* pushed) {
+    ResolvedStar star;
+    star.subject_var = "s" + std::to_string(star_index);
+    size_t n = 1 + Below(5);
+    for (size_t i = 0; i < n; ++i) {
+      ResolvedStarTriple t;
+      switch (Below(3)) {
+        case 0:
+          t.key = DataPropKey{type_id_, TypeObj()};
+          break;
+        case 1:
+          t.key = Key("p" + std::to_string(Below(4)));
+          t.const_object = Obj();
+          break;
+        default: {
+          t.key = Key("p" + std::to_string(Below(4)));
+          t.object_var = "v" + std::to_string(Below(4));
+          if (Below(3) == 0) {
+            exprs_.push_back(sparql::Expr::MakeCompare(
+                Coin() ? "<" : ">=", sparql::Expr::MakeVar(t.object_var),
+                sparql::Expr::MakeLiteral(rdf::Term::Literal(
+                    std::to_string(Below(8)), rdf::kXsdInteger))));
+            (*pushed)[t.object_var].push_back(exprs_.back().get());
+          }
+        }
+      }
+      (Coin() ? star.primary : star.secondary).insert(t.key);
+      star.triples.push_back(t);
+    }
+    star.satisfiable = Below(10) != 0;
+    return star;
+  }
+
+  std::vector<DataPropKey> KeysOf(const ResolvedStar& star) {
+    std::vector<DataPropKey> keys;
+    for (const ResolvedStarTriple& t : star.triples) keys.push_back(t.key);
+    return keys;
+  }
+
+  /// A nested group over `num_stars` stars, each filled with probability
+  /// 1/2, whose stars use the pattern's keys.
+  NestedTripleGroup RandomNested(const ResolvedPattern& pattern) {
+    NestedTripleGroup ntg;
+    ntg.stars.resize(pattern.stars.size());
+    for (size_t s = 0; s < ntg.stars.size(); ++s) {
+      if (Coin()) ntg.stars[s] = RandomTg(KeysOf(pattern.stars[s]));
+    }
+    return ntg;
+  }
+
+  ResolvedPattern RandomPattern(int num_stars, PushedFilters* pushed) {
+    ResolvedPattern pattern;
+    pattern.type_id = type_id_;
+    for (int s = 0; s < num_stars; ++s) {
+      pattern.stars.push_back(RandomStar(s, pushed));
+      // Variables shared across stars: a star's subject may be another
+      // star's object variable.
+      if (Coin()) {
+        pattern.stars.back().subject_var = "v" + std::to_string(Below(4));
+      }
+    }
+    return pattern;
+  }
+
+  std::vector<AlphaCondition> RandomAlphas(const ResolvedPattern& pattern) {
+    std::vector<AlphaCondition> alphas(Below(3));
+    for (AlphaCondition& cond : alphas) {
+      size_t n = Below(3);
+      for (size_t i = 0; i < n; ++i) {
+        AlphaConstraint c;
+        // One past the last star: an out-of-range constraint.
+        c.star = static_cast<int>(Below(pattern.stars.size() + 1));
+        if (c.star < static_cast<int>(pattern.stars.size()) &&
+            !pattern.stars[c.star].triples.empty() && Below(5) != 0) {
+          const auto& triples = pattern.stars[c.star].triples;
+          c.key = triples[Below(triples.size())].key;
+        } else {
+          c.key = Below(2) == 0 ? DataPropKey{} : Key("p0");  // unknown prop
+        }
+        c.present = Below(4) != 0;
+        cond.push_back(c);
+      }
+    }
+    return alphas;
+  }
+
+  /// ViewNested of serializer output; SplitNested must agree on it.
+  std::vector<std::string_view> Views(const std::string& bytes,
+                                      int num_stars) {
+    std::vector<std::string_view> views(num_stars), split(num_stars);
+    EXPECT_TRUE(ViewNested(bytes, num_stars, views.data())) << bytes;
+    EXPECT_TRUE(SplitNested(bytes, num_stars, split.data())) << bytes;
+    EXPECT_EQ(views, split) << bytes;
+    return views;
+  }
+
+  uint64_t rng_ = 0x2545f4914f6cdd1dull;
+  std::vector<sparql::ExprPtr> exprs_;
+};
+
+TEST_F(TextOperatorsPropertyTest, StarFilterMatchesParseFilterSerialize) {
+  int kept = 0, rejected = 0;
+  for (int round = 0; round < 300; ++round) {
+    PushedFilters pushed;
+    ResolvedStar star = RandomStar(0, &pushed);
+    StarTextFilter filter(star, type_id_, pushed, &dict_);
+    for (int i = 0; i < 20; ++i) {
+      TripleGroup tg = RandomTg(KeysOf(star));
+      std::string text = SerializeTripleGroup(tg);
+      std::optional<TripleGroup> ref =
+          FilterStarWithFilters(tg, star, type_id_, pushed, dict_);
+      std::string out = "L|0:";
+      bool ok = filter.AppendFiltered(text, &out);
+      ASSERT_EQ(ok, ref.has_value()) << text;
+      EXPECT_EQ(out, ok ? "L|0:" + SerializeTripleGroup(*ref) : "L|0:")
+          << text;
+      (ok ? kept : rejected) += 1;
+      // Non-canonical spellings take the parse/filter/serialize path.
+      std::string padded = "0" + text;
+      out.clear();
+      ASSERT_EQ(filter.AppendFiltered(padded, &out), ok) << padded;
+      EXPECT_EQ(out, ok ? SerializeTripleGroup(*ref) : "");
+    }
+  }
+  // The generator exercises both outcomes.
+  EXPECT_GT(kept, 500);
+  EXPECT_GT(rejected, 500);
+  PushedFilters none;
+  StarTextFilter filter(RandomStar(0, &none), type_id_, none, &dict_);
+  for (const char* bad : {"", "abc", "1;nocomma", "1;2,3;", "1;2,3,4"}) {
+    std::string out;
+    EXPECT_FALSE(filter.AppendFiltered(bad, &out)) << bad;
+    EXPECT_EQ(out, "");
+  }
+}
+
+TEST_F(TextOperatorsPropertyTest, SplicedAlphaMergeMatchesStructMerge) {
+  for (int round = 0; round < 500; ++round) {
+    const int num_stars = 2 + static_cast<int>(Below(3));
+    PushedFilters pushed;
+    ResolvedPattern pattern = RandomPattern(num_stars, &pushed);
+    std::vector<AlphaCondition> alphas = RandomAlphas(pattern);
+    SlotBindings slots(pattern, {}, alphas);
+    NestedTripleGroup left = RandomNested(pattern);
+    NestedTripleGroup right = RandomNested(pattern);
+
+    // Today's reduce: parse both sides, copy-merge, re-serialize.
+    NestedTripleGroup merged = left;
+    for (int s = 0; s < num_stars; ++s) {
+      if (right.IsFilled(s)) merged.stars[s] = right.stars[s];
+    }
+    const std::string lbytes = SerializeNested(left);
+    const std::string rbytes = SerializeNested(right);
+    std::vector<std::string_view> l = Views(lbytes, num_stars);
+    std::vector<std::string_view> r = Views(rbytes, num_stars);
+    std::string spliced;
+    SpliceNestedTo(l.data(), r.data(), num_stars, &spliced);
+    EXPECT_EQ(spliced, SerializeNested(merged));
+
+    std::vector<std::string_view> m(num_stars);
+    for (int s = 0; s < num_stars; ++s) m[s] = r[s].empty() ? l[s] : r[s];
+    SlotBindings::Values values;
+    ASSERT_TRUE(slots.Load(m.data(), &values));
+    for (size_t a = 0; a < alphas.size(); ++a) {
+      EXPECT_EQ(slots.Satisfies(a, values),
+                SatisfiesAlpha(merged, alphas[a], type_id_))
+          << spliced << " alpha " << a;
+    }
+  }
+}
+
+TEST_F(TextOperatorsPropertyTest, SlotExpansionMatchesExpandBindings) {
+  size_t rows = 0;
+  for (int round = 0; round < 500; ++round) {
+    const int num_stars = 1 + static_cast<int>(Below(3));
+    PushedFilters pushed;
+    ResolvedPattern pattern = RandomPattern(num_stars, &pushed);
+    std::vector<std::vector<std::string>> var_lists(2);
+    for (auto& vars : var_lists) {
+      size_t n = Below(4);
+      for (size_t i = 0; i < n; ++i) {
+        // s0..s2 are star subjects; v0..v3 object (or subject) variables;
+        // "u" is bound nowhere.
+        switch (Below(3)) {
+          case 0: vars.push_back("s" + std::to_string(Below(3))); break;
+          case 1: vars.push_back("v" + std::to_string(Below(4))); break;
+          default: vars.push_back(Below(4) == 0 ? "u" : "v0");
+        }
+      }
+    }
+    std::vector<AlphaCondition> alphas = RandomAlphas(pattern);
+    SlotBindings slots(pattern, var_lists, alphas);
+    NestedTripleGroup ntg = RandomNested(pattern);
+    const std::string bytes = SerializeNested(ntg);
+    std::vector<std::string_view> stars = Views(bytes, num_stars);
+    SlotBindings::Values values;
+    ASSERT_TRUE(slots.Load(stars.data(), &values));
+    BindingExpansion exp;
+    for (size_t list = 0; list < var_lists.size(); ++list) {
+      for (bool skip : {true, false}) {
+        slots.Expand(list, values, skip, &exp);
+        std::vector<std::vector<rdf::TermId>> got;
+        for (size_t i = 0; i < exp.num_rows; ++i) {
+          got.emplace_back(exp.row(i), exp.row(i) + exp.width);
+        }
+        EXPECT_EQ(got, ExpandBindings(ntg, pattern, var_lists[list], skip))
+            << bytes;
+        rows += got.size();
+      }
+    }
+    for (size_t a = 0; a < alphas.size(); ++a) {
+      EXPECT_EQ(slots.Satisfies(a, values),
+                SatisfiesAlpha(ntg, alphas[a], type_id_));
+    }
+  }
+  EXPECT_GT(rows, 1000u);
+}
+
+TEST_F(OperatorsTest, ViewNestedAcceptsOnlyCanonicalText) {
+  std::vector<std::string_view> stars(3);
+  EXPECT_TRUE(ViewNested("", 3, stars.data()));
+  EXPECT_TRUE(ViewNested("0:5;1,2#2:7", 3, stars.data()));
+  EXPECT_EQ(stars[0], "5;1,2");
+  EXPECT_TRUE(stars[1].empty());
+  EXPECT_EQ(stars[2], "7");
+  // ParseNested accepts all of these, but SerializeNested would rewrite
+  // them: leading zeros, stars out of order or repeated, subject 0.
+  for (const char* text : {"00:5", "0:05", "2:7#0:5", "0:5#0:6", "0:0;1,2"}) {
+    EXPECT_TRUE(ParseNested(text, 3).ok()) << text;
+    EXPECT_FALSE(ViewNested(text, 3, stars.data())) << text;
+    std::string canon;
+    std::string_view bytes;
+    ASSERT_TRUE(
+        ViewNestedCanonical(text, 3, &canon, &bytes, stars.data()));
+    EXPECT_EQ(bytes, SerializeNested(*ParseNested(text, 3))) << text;
+  }
+  for (const char* bad : {"9:1", "nocolon", "0:", "#", "0:1#"}) {
+    EXPECT_FALSE(ViewNested(bad, 3, stars.data())) << bad;
+  }
+  // SplitNested checks only the star framing, but never indexes past
+  // num_stars.
+  for (const char* bad : {"9:1", "nocolon", "#", "0:1#x"}) {
+    EXPECT_FALSE(SplitNested(bad, 3, stars.data())) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace rapida::ntga
