@@ -9,8 +9,7 @@
 # incremental-maintenance advantage; and, under ASan, a corruption
 # injection that bit-flips and truncates artifacts and requires typed
 # quarantine plus clean recompute), the 200-seed differential
-# fuzz corpus plus its service mode (and a scalar-fallback corpus pass
-# with the vectorized-kernels pass forced off), a 100-seed
+# fuzz corpus plus its service mode, a 100-seed
 # OPTIONAL/UNION-biased corpus (--grammar=opt-union, repeated under
 # ASan), a guard that regenerating the golden fixtures reproduces the
 # committed files byte-for-byte, a perf smoke (run last) that replays
@@ -19,7 +18,7 @@
 # of the fuzz smoke and the EXPLAIN goldens, and a ThreadSanitizer build
 # running the concurrency-sensitive suites (the parallel MapReduce
 # runtime — including the ValueSpan reduce-mode matrix in mapreduce_test —
-# the batch-kernel byte-identity matrix in kernels_test, the engines on
+# the kernel thread-count identity matrix in kernels_test, the engines on
 # top of it, the sharded data plane in shard_test — stressed across
 # shards {1,2,4} x threads {1,8} — and the 32-session service stress).
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
@@ -83,9 +82,6 @@ print("store bench OK: %sx, %s patched" % (s, p))
 
 echo "== differential fuzz corpus (200 seeds, 4 engines x 2 thread cfgs) =="
 ctest --test-dir build -C fuzz -R rapida_fuzz_corpus --output-on-failure
-
-echo "== differential fuzz corpus, scalar fallback (--no-kernels) =="
-./build/examples/rapida_fuzz --seeds=200 --no-kernels
 
 echo "== differential fuzz corpus, sharded data plane (4 shards) =="
 # Every engine additionally runs at 4 shards under both placement schemes;
@@ -197,7 +193,7 @@ echo "== TSan: thread_pool_test =="
 ./build-tsan/tests/thread_pool_test
 echo "== TSan: mapreduce_test (incl. ValueSpan reduce-mode matrix) =="
 ./build-tsan/tests/mapreduce_test
-echo "== TSan: kernels_test (batch kernels x exec_threads x combine) =="
+echo "== TSan: kernels_test (kernels x exec_threads x combine) =="
 ./build-tsan/tests/kernels_test
 echo "== TSan: engines_test =="
 ./build-tsan/tests/engines_test

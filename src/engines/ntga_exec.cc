@@ -24,21 +24,6 @@ struct TagRole {
   ntga::DataPropKey prop;
 };
 
-/// Installs a per-record map body as the job's scalar `map` (the sharded
-/// path) and, on the kernel path, as a `map_batch` loop over the split.
-/// Bodies keep their scratch in MapContext::TaskState, so both dispatches
-/// run the same code and emit the same records in the same order.
-template <typename Body>
-void SetMap(mr::JobConfig* job, bool batch, Body body) {
-  if (batch) {
-    job->map_batch = [body](const mr::TaggedRecord* recs, size_t n,
-                            mr::MapContext* ctx) {
-      for (size_t i = 0; i < n; ++i) body(*recs[i].record, recs[i].tag, ctx);
-    };
-  }
-  job->map = std::move(body);
-}
-
 /// ntga::JoinKeys on one star's canonical text ("" when unfilled): calls
 /// fn(key) for each join key, in the same order.
 template <typename Fn>
@@ -276,41 +261,39 @@ StatusOr<PatternMatches> NtgaExec::ComputePatternMatches(
     // one as "star:" + its filtered text; only the endpoint star is read,
     // for its join keys.
     int nested_endpoint_star = left_star;
-    SetMap(&job, options_.vectorized_kernels,
-           [shared_roles, star_filters, type_id, num_stars,
-            nested_endpoint_star](const mr::Record& r, int tag,
-                                  mr::MapContext* ctx) {
-             const TagRole& role = (*shared_roles)[tag];
-             AlphaMapScratch* s = ctx->TaskState<AlphaMapScratch>();
-             s->val_buf.assign(role.left_side ? "L|" : "R|");
-             std::string_view endpoint;
-             if (role.is_nested) {
-               std::string_view bytes;
-               s->stars.resize(num_stars);
-               if (!ntga::ViewNestedCanonical(r.value, num_stars, &s->canon,
-                                              &bytes, s->stars.data())) {
-                 return;
-               }
-               s->val_buf.append(bytes);
-               endpoint = s->stars[nested_endpoint_star];
-             } else {
-               mr::kernels::AppendDecimal(&s->val_buf,
-                                          static_cast<uint64_t>(role.star));
-               s->val_buf += ':';
-               const size_t at = s->val_buf.size();
-               if (!(*star_filters)[role.star].AppendFiltered(r.value,
-                                                              &s->val_buf)) {
-                 return;
-               }
-               endpoint = std::string_view(s->val_buf).substr(at);
-             }
-             ForEachJoinKey(endpoint, role.role, role.prop, type_id,
-                            [&](rdf::TermId key) {
-                              s->key_buf.clear();
-                              mr::kernels::AppendDecimal(&s->key_buf, key);
-                              ctx->Emit(s->key_buf, s->val_buf);
-                            });
-           });
+    job.map = [shared_roles, star_filters, type_id, num_stars,
+               nested_endpoint_star](const mr::Record& r, int tag,
+                                     mr::MapContext* ctx) {
+      const TagRole& role = (*shared_roles)[tag];
+      AlphaMapScratch* s = ctx->TaskState<AlphaMapScratch>();
+      s->val_buf.assign(role.left_side ? "L|" : "R|");
+      std::string_view endpoint;
+      if (role.is_nested) {
+        std::string_view bytes;
+        s->stars.resize(num_stars);
+        if (!ntga::ViewNestedCanonical(r.value, num_stars, &s->canon,
+                                       &bytes, s->stars.data())) {
+          return;
+        }
+        s->val_buf.append(bytes);
+        endpoint = s->stars[nested_endpoint_star];
+      } else {
+        mr::kernels::AppendDecimal(&s->val_buf,
+                                   static_cast<uint64_t>(role.star));
+        s->val_buf += ':';
+        const size_t at = s->val_buf.size();
+        if (!(*star_filters)[role.star].AppendFiltered(r.value, &s->val_buf)) {
+          return;
+        }
+        endpoint = std::string_view(s->val_buf).substr(at);
+      }
+      ForEachJoinKey(endpoint, role.role, role.prop, type_id,
+                     [&](rdf::TermId key) {
+                       s->key_buf.clear();
+                       mr::kernels::AppendDecimal(&s->key_buf, key);
+                       ctx->Emit(s->key_buf, s->val_buf);
+                     });
+    };
 
     // The reduce splices each left/right pair's star texts; only the last
     // cycle filters by α, decoding just the stars its conditions name.
@@ -467,10 +450,9 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     // independent tables, flushed by map_finish below in insertion order
     // (keys are unique per task and the shuffle sorts by key).
     const bool partial = options_.partial_aggregation;
-    SetMap(&job, options_.vectorized_kernels,
-           [shared_groupings, batch, plans, slots, star_filter, dict,
-            num_stars, partial](const mr::Record& r, int,
-                                mr::MapContext* ctx) {
+    job.map = [shared_groupings, batch, plans, slots, star_filter, dict,
+               num_stars, partial](const mr::Record& r, int,
+                                   mr::MapContext* ctx) {
       MatchMapScratch* s = ctx->TaskState<MatchMapScratch>();
       if (!ViewMatch(r, star_filter.get(), num_stars, &s->text, &s->stars) ||
           !slots->Load(s->stars.data(), &s->values)) {
@@ -533,7 +515,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
           }
         }
       }
-    });
+    };
     if (partial) {
       job.map_finish = [](mr::MapContext* ctx) {
         MultiAggTable& table = ctx->TaskState<MatchMapScratch>()->table;
@@ -659,9 +641,8 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
   std::string out_file = NextTmp(label + ":rows");
   job.output = out_file;
 
-  SetMap(&job, options_.vectorized_kernels,
-         [star_filter, slots, num_stars, mapping_predicate](
-             const mr::Record& r, int, mr::MapContext* ctx) {
+  job.map = [star_filter, slots, num_stars, mapping_predicate](
+                const mr::Record& r, int, mr::MapContext* ctx) {
     MatchMapScratch* s = ctx->TaskState<MatchMapScratch>();
     if (!ViewMatch(r, star_filter.get(), num_stars, &s->text, &s->stars) ||
         !slots->Load(s->stars.data(), &s->values)) {
@@ -687,7 +668,7 @@ StatusOr<TableRef> NtgaExec::ExpandToTable(
     // expansion is the decompress boundary, so each group that produced
     // rows books itself against the flat rows it stood for.
     if (emitted > 0) ctx->NoteFactorizedGroup(emitted);
-  });
+  };
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
   return TableRef{out_file, columns};

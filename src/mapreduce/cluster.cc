@@ -77,6 +77,13 @@ ValueSpan SpanValues(const std::vector<Record>& records,
   return ValueSpan(records.data() + span.begin, records.data() + span.end);
 }
 
+/// One split row: the record (with its pre-stamped key_hash / key_prefix
+/// columns) plus the index of the input file it came from.
+struct TaggedRecord {
+  const Record* record = nullptr;
+  int tag = 0;
+};
+
 /// One mapper's private results, merged into JobStats at the map barrier.
 struct MapTaskResult {
   std::vector<Record> output;  // map-only jobs: this task's final records
@@ -143,20 +150,9 @@ void Cluster::ResetHistory() {
 }
 
 StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
-  RAPIDA_CHECK(job.map != nullptr || job.map_batch != nullptr)
-      << "job '" << job.name << "' has no map fn";
+  RAPIDA_CHECK(job.map != nullptr) << "job '" << job.name << "' has no map fn";
   const int S = config_.num_shards > 1 ? config_.num_shards : 1;
   const bool sharded = S > 1;
-  if (sharded && job.map == nullptr) {
-    // Batch kernels emit in bulk, so per-input-record home attribution —
-    // the basis of the channel's edge accounting — is impossible. The
-    // scalar map path is byte-identical by the kernel contract; engines
-    // disable vectorized kernels when sharded.
-    return Status::InvalidArgument(
-        "job '" + job.name +
-        "' has only a batch map fn; sharded execution requires the scalar "
-        "map path (run engines with vectorized_kernels off)");
-  }
   if (observer_ != nullptr) {
     RAPIDA_RETURN_IF_ERROR(observer_->OnPhase(job.name, "setup"));
   }
@@ -271,35 +267,26 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     map_store->Reserve(split.records.size(), 0);
     ColumnarMapContext ctx(map_store.get());
     // Sharded: home shard of each emitted record — the shard the producing
-    // input record lives on under the sharding scheme (combiner flushes
-    // belong to the task's shard: they are re-emissions of state that
-    // already lives where the mapper runs).
+    // input record lives on under the sharding scheme. The map fn is called
+    // once per record, so the emissions since the last call are exactly
+    // that record's. map_finish flushes (Map.clean()) belong to the task's
+    // shard: they are re-emissions of state that already lives where the
+    // mapper runs.
     std::vector<int> emit_homes;
     if (sharded) {
       shards_[static_cast<size_t>(task_shard[task])]->CountMapTask();
       emit_homes.reserve(split.records.size());
-      for (const TaggedRecord& tr : split.records) {
-        size_t before = map_store->size();
-        job.map(*tr.record, tr.tag, &ctx);
-        if (map_store->size() != before) {
-          emit_homes.resize(map_store->size(),
-                            AssignShard(tr.record->key_hash, config_.sharding,
-                                        S));
-        }
-      }
-      if (job.map_finish) {
-        job.map_finish(&ctx);
-        emit_homes.resize(map_store->size(), task_shard[task]);
-      }
-    } else if (job.map_batch) {
-      job.map_batch(split.records.data(), split.records.size(), &ctx);
-      if (job.map_finish) job.map_finish(&ctx);
-    } else {
-      for (const TaggedRecord& tr : split.records) {
-        job.map(*tr.record, tr.tag, &ctx);
-      }
-      if (job.map_finish) job.map_finish(&ctx);
     }
+    for (const TaggedRecord& tr : split.records) {
+      job.map(*tr.record, tr.tag, &ctx);
+      if (sharded && map_store->size() != emit_homes.size()) {
+        emit_homes.resize(map_store->size(),
+                          AssignShard(tr.record->key_hash, config_.sharding,
+                                      S));
+      }
+    }
+    if (job.map_finish) job.map_finish(&ctx);
+    if (sharded) emit_homes.resize(map_store->size(), task_shard[task]);
     result.map_output_records = map_store->size();
     result.map_output_bytes = ctx.bytes();
     result.factorized_groups = ctx.factorized_groups();

@@ -21,7 +21,7 @@ namespace rapida::mr {
 class TaskStateBase {
  public:
   /// How per-task accumulators (e.g. the paper's multiAggMap hash
-  /// pre-aggregation, Alg. 3) and batch-kernel scratch buffers stay
+  /// pre-aggregation, Alg. 3) and reusable per-record scratch buffers stay
   /// correct when tasks run concurrently: capture the immutable specs in
   /// the lambda, keep the mutable state here.
   template <typename T>
@@ -72,8 +72,8 @@ class MapContext : public TaskStateBase {
 /// Sink for reduce-side emissions. Emit appends to the reduce task's
 /// columnar store, exactly like MapContext::Emit. TaskState() is scoped
 /// to the reduce task (one shuffle partition, or the whole serial merge) —
-/// it persists *across* the task's key groups, which is what lets batch
-/// kernels reuse scratch buffers instead of reallocating per group.
+/// it persists *across* the task's key groups, which is what lets reduce
+/// bodies reuse scratch buffers instead of reallocating per group.
 class ReduceContext : public TaskStateBase {
  public:
   virtual ~ReduceContext() = default;
@@ -123,28 +123,16 @@ class ValueSpan {
   const Record* end_ = nullptr;
 };
 
-/// Per-record map function. `input_tag` identifies which input file the
-/// record came from (0-based index into JobConfig::inputs) so joins can
-/// tag their sides — real MapReduce gets this from the input split path.
-/// May run concurrently with other map tasks; see MapContext.
+/// Per-record map function — the only map form, like a Hadoop mapper's
+/// map(record). `input_tag` identifies which input file the record came
+/// from (0-based index into JobConfig::inputs) so joins can tag their
+/// sides — real MapReduce gets this from the input split path. Reusable
+/// scratch (decode rows, key/value buffers, hash tables) lives in
+/// MapContext::TaskState, so the per-record call allocates nothing once
+/// the task is warm. May run concurrently with other map tasks; see
+/// MapContext.
 using MapFn =
     std::function<void(const Record& record, int input_tag, MapContext*)>;
-
-/// One split row handed to a batch map kernel: the record (with its
-/// pre-stamped key_hash / key_prefix columns) plus its input tag.
-struct TaggedRecord {
-  const Record* record = nullptr;
-  int tag = 0;
-};
-
-/// Batch-at-a-time map kernel: called once per input split with the whole
-/// split. Must emit exactly the records the per-record `map` would emit,
-/// in the same order — the runtime treats it as pure dispatch/layout
-/// optimization, and every counter (and therefore sim_seconds) is
-/// computed from the emissions, which are identical either way.
-using MapBatchFn =
-    std::function<void(const TaggedRecord* records, size_t count,
-                       MapContext*)>;
 
 /// Called once per mapper after its split is exhausted; used for map-side
 /// state flush (e.g. the paper's `multiAggMap` hash pre-aggregation,
@@ -163,12 +151,7 @@ struct JobConfig {
   std::vector<std::string> inputs;  // DFS file names
   std::string output;               // DFS file name
 
-  MapFn map;                 // required unless map_batch is set
-  /// Optional vectorized override of `map`: when set, the runtime hands
-  /// each split to this kernel instead of dispatching per record. Planners
-  /// install it only when the kernel path is enabled; the scalar `map`
-  /// stays the fallback (and the semantic reference).
-  MapBatchFn map_batch;
+  MapFn map;                 // required
   MapFinishFn map_finish;    // optional
   ReduceFn combine;          // optional (map-side, per mapper)
   ReduceFn reduce;           // null => map-only job (no shuffle)

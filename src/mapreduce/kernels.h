@@ -7,16 +7,13 @@
 #include <utility>
 #include <vector>
 
-/// Batch-at-a-time kernel primitives for the hot MapReduce inner loops.
+/// Kernel primitives for the hot MapReduce inner loops.
 ///
 /// The operators built on these (star-join / map-join probing, grouped
-/// aggregation) process one whole split per dispatch instead of one record
-/// per std::function call, reuse the FNV-1a key hashes the data plane
-/// stamps at emit time, and keep all scratch in reused flat buffers.
-/// Kernels are a pure execution-layer substitution: they must emit
-/// byte-identical records in identical order to their scalar
-/// counterparts, so no logical counter (and hence no sim_seconds) can
-/// move.
+/// aggregation) reuse the FNV-1a key hashes the data plane stamps at emit
+/// time and keep all scratch in flat buffers held in the task's
+/// TaskState, so their per-record map bodies stop allocating once the
+/// task is warm.
 namespace rapida::mr::kernels {
 
 /// splitmix64 finalizer: turns raw integer keys (term ids) into

@@ -73,7 +73,7 @@ inline bool RecordKeyEq(const Record& a, const Record& b) {
 /// contiguous byte buffer, every value into another, with per-record end
 /// offsets plus parallel key_prefix / key_hash columns stamped once at
 /// append time. This is the physical layout behind MapContext /
-/// ReduceContext emission, the shuffle, and Dfs files — batch kernels scan
+/// ReduceContext emission, the shuffle, and Dfs files — operators scan
 /// the hash column and the contiguous byte runs instead of chasing
 /// per-record heap strings.
 ///

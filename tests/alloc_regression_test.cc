@@ -1,6 +1,7 @@
 // Allocation regression gate for the MapReduce hot path: a representative
-// shuffle+reduce job, a join-shaped job and an NTGA α-join cycle must each
-// stay far below one heap allocation per record.
+// shuffle+reduce job, a join-shaped job, a sharded relational join +
+// grouped aggregation, and an NTGA α-join cycle must each stay far below
+// one heap allocation per record.
 // The columnar-store record representation makes the emit/shuffle/sort/
 // reduce loops allocation-free per record (buffer growth, task vectors and
 // thread bookkeeping amortize away), so the whole job costs O(tasks + keys)
@@ -18,6 +19,7 @@
 
 #include "engines/dataset.h"
 #include "engines/ntga_exec.h"
+#include "engines/relational_ops.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/dfs.h"
 #include "rdf/graph.h"
@@ -106,12 +108,13 @@ TEST(AllocRegressionTest, ReduceJobStaysUnderPerRecordBudget) {
       << allocations << " allocations for " << kRecords << " records)";
 }
 
-// Same gate for a join-shaped job: two tagged inputs, batch map emitting
-// tag-prefixed values through reused buffers, and a cross-product reduce
-// whose side pools live in reduce TaskState so they warm up once per task
-// instead of reallocating per key group. This mirrors the shape of the
-// repartition-join batch kernel in RelationalOps::Join.
-TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
+// Same gate for a join-shaped job: two tagged inputs, a per-record map
+// emitting tag-prefixed values through a value buffer kept in map
+// TaskState, and a cross-product reduce whose side pools live in reduce
+// TaskState so they warm up once per task instead of reallocating per key
+// group. This mirrors the shape of the repartition join in
+// RelationalOps::Join.
+TEST(AllocRegressionTest, JoinShapedJobStaysUnderPerRecordBudget) {
   constexpr int kRowsPerSide = 10000;
   constexpr int kDistinctKeys = 2000;  // 5 rows per key per side.
 
@@ -134,21 +137,17 @@ TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
   job.name = "alloc-regression-join";
   job.inputs = {"left", "right"};
   job.output = "out";
-  job.map_batch = [](const TaggedRecord* records, size_t count,
-                     MapContext* ctx) {
-    std::string val_buf;
-    for (size_t i = 0; i < count; ++i) {
-      std::string_view value = records[i].record->value;
-      std::string_view key = value.substr(0, value.find(','));
-      val_buf.assign(records[i].tag == 0 ? "L|" : "R|");
-      val_buf.append(value);
-      ctx->Emit(key, val_buf);
-    }
+  job.map = [](const Record& r, int tag, MapContext* ctx) {
+    std::string* val_buf = ctx->TaskState<std::string>();
+    std::string_view key = r.value.substr(0, r.value.find(','));
+    val_buf->assign(tag == 0 ? "L|" : "R|");
+    val_buf->append(r.value);
+    ctx->Emit(key, *val_buf);
   };
   job.reduce = [](std::string_view key, const ValueSpan& values,
                   ReduceContext* ctx) {
-    // Flat side pools: contiguous bytes plus end offsets, like the batch
-    // join kernel's CSR side buffers.
+    // Flat side pools: contiguous bytes plus end offsets, like the
+    // repartition join's CSR side buffers.
     struct JoinScratch {
       std::string left_bytes, right_bytes;
       std::vector<uint32_t> left_end, right_end;
@@ -191,11 +190,76 @@ TEST(AllocRegressionTest, JoinShapedBatchJobStaysUnderPerRecordBudget) {
   EXPECT_EQ(stats->output_records, static_cast<uint64_t>(kDistinctKeys) * 25);
 
   size_t allocations = g_allocations.load(std::memory_order_relaxed);
-  // The batch map reuses one value buffer and the reduce reuses per-task
+  // The map reuses one per-task value buffer and the reduce reuses per-task
   // scratch, so the whole join costs O(tasks + buffer growth) allocations.
   EXPECT_LT(allocations, static_cast<size_t>(kInputRecords) / 2)
       << "join hot path regressed to per-record heap allocation ("
       << allocations << " allocations for " << kInputRecords << " records)";
+}
+
+// Same gate for the relational operators on a sharded data plane: a
+// repartition RelationalOps::Join feeding a partial-aggregation GroupBy on
+// a 4-shard cluster. Sharded runs execute the same per-record operator
+// bodies as unsharded ones — decode rows and emit buffers in TaskState,
+// the pre-aggregation table flushed by map_finish — while the cluster
+// attributes every emission to its source record's shard.
+TEST(AllocRegressionTest, ShardedJoinThenGroupByStaysUnderPerRowBudget) {
+  constexpr int kRowsPerSide = 10000;  // one row per subject per side
+  constexpr int kGroups = 50;
+
+  engine::Dataset dataset{rdf::Graph()};
+  rdf::Dictionary& dict = dataset.dict();
+  RecordBatch left, right;
+  for (int i = 0; i < kRowsPerSide; ++i) {
+    const std::string s = std::to_string(dict.InternInt(i));
+    left.Add(s, std::to_string(dict.InternInt(1000000 + i)));
+    right.Add(s, std::to_string(dict.InternInt(2000000 + i % kGroups)));
+  }
+  ASSERT_TRUE(dataset.dfs().Write("vp:left", std::move(left)).ok());
+  ASSERT_TRUE(dataset.dfs().Write("vp:right", std::move(right)).ok());
+  auto vp_input = [](const std::string& file, const std::string& obj) {
+    engine::JoinInput in;
+    in.file = file;
+    in.columns = {"s", obj};
+    in.is_vp = true;
+    in.join_column = "s";
+    return in;
+  };
+
+  ClusterConfig config;
+  config.num_shards = 4;
+  Cluster cluster(config, &dataset.dfs());
+  engine::EngineOptions options;
+  options.num_shards = 4;
+  options.enable_map_joins = false;  // exercise the repartition join
+  engine::RelationalOps ops(&cluster, &dataset, options, "alloc-sharded");
+  engine::RelationalOps::AggColumn count;
+  count.count_star = true;
+  count.output_name = "n";
+
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_seq_cst);
+  auto joined = ops.Join(
+      "join", {vp_input("vp:left", "x"), vp_input("vp:right", "g")}, nullptr);
+  StatusOr<engine::TableRef> grouped =
+      joined.ok() ? ops.GroupBy("group", *joined, {"g"}, {count}, nullptr)
+                  : joined.status();
+  g_counting.store(false, std::memory_order_seq_cst);
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  ASSERT_EQ(cluster.history().size(), 2u);
+  EXPECT_EQ(cluster.history()[0].output_records,
+            static_cast<uint64_t>(kRowsPerSide));
+  EXPECT_EQ(cluster.history()[1].output_records,
+            static_cast<uint64_t>(kGroups));
+  EXPECT_GT(cluster.history()[0].shuffle_cross_bytes, 0u);
+
+  constexpr size_t kInputRows = 2 * kRowsPerSide;
+  size_t allocations = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(allocations, kInputRows / 2)
+      << "sharded relational operators regressed to per-row heap "
+         "allocation ("
+      << allocations << " allocations for " << kInputRows << " input rows)";
+  ops.Cleanup();
 }
 
 // Same gate for the NTGA data plane: one TG_AlphaJoin cycle (Alg. 2) of

@@ -129,16 +129,16 @@ TEST(KernelsTest, TripleGroupCodecVariantsMatchScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-level matrix: the same word-count-shaped job run through a
-// scalar map and through map_batch must produce byte-identical output and
-// identical JobStats, for every exec_threads x combine combination.
+// Cluster-level matrix: the same word-count-shaped job must produce
+// byte-identical output and identical JobStats at every exec_threads, with
+// and without a combiner.
 
 struct JobOutput {
   std::vector<std::pair<std::string, std::string>> records;
   mr::JobStats stats;
 };
 
-JobOutput RunCountJob(bool batch, bool combine, int threads) {
+JobOutput RunCountJob(bool combine, int threads) {
   mr::Dfs dfs;
   mr::RecordBatch input;
   for (int i = 0; i < 5000; ++i) {
@@ -162,16 +162,9 @@ JobOutput RunCountJob(bool batch, bool combine, int threads) {
     std::string_view part;
     while (fields.Next(&part)) ctx->Emit(part, "1");
   };
-  if (batch) {
-    job.map_batch = [emit_tokens](const mr::TaggedRecord* recs, size_t n,
-                                  mr::MapContext* ctx) {
-      for (size_t i = 0; i < n; ++i) emit_tokens(recs[i].record->value, ctx);
-    };
-  } else {
-    job.map = [emit_tokens](const mr::Record& r, int, mr::MapContext* ctx) {
-      emit_tokens(r.value, ctx);
-    };
-  }
+  job.map = [emit_tokens](const mr::Record& r, int, mr::MapContext* ctx) {
+    emit_tokens(r.value, ctx);
+  };
   auto sum = [](std::string_view key, const mr::ValueSpan& values,
                 mr::ReduceContext* ctx) {
     int64_t total = 0;
@@ -213,26 +206,27 @@ void ExpectSameStats(const mr::JobStats& a, const mr::JobStats& b,
   EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds) << label;
 }
 
-TEST(KernelMatrixTest, BatchMapMatchesScalarAcrossThreadsAndCombine) {
-  JobOutput reference = RunCountJob(/*batch=*/false, /*combine=*/false, 1);
+TEST(KernelMatrixTest, MapOutputIdenticalAcrossThreadsAndCombine) {
+  JobOutput reference = RunCountJob(/*combine=*/false, 1);
   ASSERT_FALSE(reference.records.empty());
-  for (int threads : {1, 4, 8}) {
-    for (bool combine : {false, true}) {
+  for (bool combine : {false, true}) {
+    // The single-thread run of each combine setting pins its counters.
+    JobOutput single = RunCountJob(combine, 1);
+    for (int threads : {1, 4, 8}) {
       std::string label = "threads=" + std::to_string(threads) +
                           " combine=" + (combine ? "on" : "off");
-      JobOutput scalar = RunCountJob(false, combine, threads);
-      JobOutput batch = RunCountJob(true, combine, threads);
-      EXPECT_EQ(batch.records, scalar.records) << label;
-      ExpectSameStats(batch.stats, scalar.stats, label);
+      JobOutput run = RunCountJob(combine, threads);
+      EXPECT_EQ(run.records, single.records) << label;
+      ExpectSameStats(run.stats, single.stats, label);
       // Combine changes shuffle volume but never the reduced output.
-      EXPECT_EQ(batch.records, reference.records) << label;
+      EXPECT_EQ(run.records, reference.records) << label;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level matrix: every engine, vectorized_kernels on vs off, across
-// exec_threads — results and every per-job counter must be identical.
+// Engine-level matrix: every engine at 4 and 8 exec_threads must reproduce
+// its single-thread rows and every per-job counter.
 
 rdf::Graph BuildGraph() {
   rdf::Graph g;
@@ -311,19 +305,17 @@ EngineRun RunEngine(engine::Engine* eng, const std::string& query_text,
   return out;
 }
 
-TEST(KernelMatrixTest, EnginesByteIdenticalWithKernelsOnAndOff) {
+TEST(KernelMatrixTest, EnginesByteIdenticalAcrossThreadCounts) {
   engine::Dataset dataset(BuildGraph());
-  engine::EngineOptions on, off;
-  on.vectorized_kernels = true;
-  off.vectorized_kernels = false;
+  engine::EngineOptions options;
   for (const char* query : {kOverlapQuery, kFilterQuery}) {
-    // The kernels-off single-thread run is the semantic reference.
+    // The single-thread run is the reference.
     std::map<std::string, EngineRun> reference;
-    for (const auto& eng : engine::MakeAllEngines(off)) {
+    for (const auto& eng : engine::MakeAllEngines(options)) {
       reference[eng->name()] = RunEngine(eng.get(), query, &dataset, 1);
     }
-    for (int threads : {1, 4, 8}) {
-      for (const auto& eng : engine::MakeAllEngines(on)) {
+    for (int threads : {4, 8}) {
+      for (const auto& eng : engine::MakeAllEngines(options)) {
         EngineRun run = RunEngine(eng.get(), query, &dataset, threads);
         const EngineRun& ref = reference[eng->name()];
         std::string label =
