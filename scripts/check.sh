@@ -15,11 +15,13 @@
 # committed files byte-for-byte, a perf smoke (run last) that replays
 # Fig. 8(a) and Fig. 8(b) at 8 threads and diffs their deterministic
 # per-query aggregates against committed goldens, an AddressSanitizer run
-# of the fuzz smoke and the EXPLAIN goldens, and a ThreadSanitizer build
+# of the fuzz smoke, the multi-valued fuzz grammar, the factorized
+# operators' suite and the EXPLAIN goldens, and a ThreadSanitizer build
 # running the concurrency-sensitive suites (the parallel MapReduce
 # runtime — including the ValueSpan reduce-mode matrix in mapreduce_test —
 # the kernel thread-count identity matrix in kernels_test, the engines on
-# top of it, the sharded data plane in shard_test — stressed across
+# top of it, the factorized operators' task scratch in factorize_test,
+# the sharded data plane in shard_test — stressed across
 # shards {1,2,4} x threads {1,8} — and the 32-session service stress).
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
@@ -102,6 +104,8 @@ echo "== differential fuzz, multi-valued-star grammar (100 seeds) =="
 echo "== golden regen guard (fixtures must match a fresh regeneration) =="
 RAPIDA_UPDATE_GOLDEN=1 ./build/tests/golden_test > /dev/null
 RAPIDA_UPDATE_GOLDEN=1 ./build/tests/explain_golden_test > /dev/null
+RAPIDA_UPDATE_GOLDEN=1 ./build/tests/factorize_test \
+    --gtest_filter='*PipelineBytesMatchGolden' > /dev/null
 git diff --exit-code -- tests/golden || {
   echo "golden regen guard FAILED: committed fixtures differ from a fresh" \
        "RAPIDA_UPDATE_GOLDEN=1 run (diff above; commit the regen if" \
@@ -153,10 +157,14 @@ echo "== AddressSanitizer fuzz smoke (RAPIDA_SANITIZE=address) =="
 cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
-      storage_test rapida_serve
+      storage_test rapida_serve factorize_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: OPTIONAL/UNION-biased fuzz (100 seeds) =="
 ./build-asan/examples/rapida_fuzz --grammar=opt-union --seeds=100
+echo "== ASan: multi-valued-star fuzz (50 seeds) =="
+./build-asan/examples/rapida_fuzz --grammar=multival --seeds=50
+echo "== ASan: factorize_test (factor segment views, scratch reuse) =="
+./build-asan/tests/factorize_test
 echo "== ASan: EXPLAIN goldens =="
 ./build-asan/tests/explain_golden_test
 
@@ -187,7 +195,7 @@ cmake -B build-tsan -S . -DRAPIDA_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
       thread_pool_test mapreduce_test kernels_test engines_test \
-      shard_test service_stress_test bench_factorize
+      factorize_test shard_test service_stress_test bench_factorize
 
 echo "== TSan: thread_pool_test =="
 ./build-tsan/tests/thread_pool_test
@@ -197,6 +205,8 @@ echo "== TSan: kernels_test (kernels x exec_threads x combine) =="
 ./build-tsan/tests/kernels_test
 echo "== TSan: engines_test =="
 ./build-tsan/tests/engines_test
+echo "== TSan: factorize_test (factorized operators at 8 threads) =="
+./build-tsan/tests/factorize_test
 echo "== TSan: shard_test (channel stress + shards {1,2,4} x threads {1,8}) =="
 ./build-tsan/tests/shard_test
 echo "== TSan: service_stress_test (32 sessions + concurrent mutations) =="

@@ -80,19 +80,23 @@ inline uint64_t DigitCount(rdf::TermId v) {
 void DecodeCellsInto(std::string_view encoded, const std::vector<int>& cols,
                      std::vector<rdf::TermId>* row);
 
-/// Reusable scratch for flat enumeration of parsed groups.
+/// Reusable scratch for flat enumeration of parsed groups: the parsed view,
+/// the enumerated row and the odometer indices. Kept in task state, it lets
+/// per-record enumeration run without allocating once warm.
 struct FlatScratch {
   GroupView view;
   std::vector<rdf::TermId> row;
+  std::vector<size_t> idx;
 };
 
 /// Enumerates the flat rows of one parsed group in canonical order
 /// (factor 0 outermost, last factor innermost) and calls `fn(row)` with a
-/// width-sized row for each. The row reference stays valid only during the
-/// callback.
+/// width-sized row (`s->row`) for each. The row reference stays valid only
+/// during the callback. `g` may be `s->view`; `fn` must not reuse `s`.
 template <typename Fn>
 void ForEachFlatRow(const Factorization& spec, const GroupView& g,
-                    std::vector<rdf::TermId>* row, Fn&& fn) {
+                    FlatScratch* s, Fn&& fn) {
+  std::vector<rdf::TermId>* row = &s->row;
   row->assign(static_cast<size_t>(spec.width), rdf::kInvalidTermId);
   DecodeCellsInto(g.base, spec.base_cols, row);
   // Iterative odometer, last factor fastest: factor 0 outermost.
@@ -104,7 +108,8 @@ void ForEachFlatRow(const Factorization& spec, const GroupView& g,
   for (size_t f = 0; f < nf; ++f) {
     if (g.FactorRows(f) == 0) return;  // empty factor: zero flat rows
   }
-  std::vector<size_t> idx(nf, 0);
+  std::vector<size_t>& idx = s->idx;
+  idx.assign(nf, 0);
   for (size_t f = 0; f < nf; ++f) {
     DecodeCellsInto(g.rows[g.FactorBegin(f)], spec.factors[f], row);
   }

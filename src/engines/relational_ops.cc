@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 
 #include "analytics/aggregates.h"
 #include "analytics/value.h"
@@ -134,13 +133,6 @@ void DecodeInputRowInto(const JoinInput& input, const mr::Record& r,
   out->push_back(static_cast<rdf::TermId>(o));
 }
 
-std::vector<rdf::TermId> DecodeInputRow(const JoinInput& input,
-                                        const mr::Record& r) {
-  std::vector<rdf::TermId> out;
-  DecodeInputRowInto(input, r, &out);
-  return out;
-}
-
 /// Broadcast side table of the map-join: one flat cell pool plus two CSR
 /// layers — rows over cells, and per-distinct-key groups over rows —
 /// probed through a HashIndex on the mixed key id. Rows keep file order
@@ -158,18 +150,21 @@ struct BroadcastTable {
     return id == 0 ? 0 : group_end[id - 1];
   }
   uint32_t RowBegin(uint32_t r) const { return r == 0 ? 0 : row_end[r - 1]; }
+  uint32_t Find(rdf::TermId key) const {
+    return index.Find(mr::kernels::MixId(key),
+                      [&](uint32_t cand) { return keys[cand] == key; });
+  }
 };
 
+/// Builds the broadcast table of one small join side. A factorized side
+/// feeds its decompressed rows, in flat order.
 void BuildBroadcast(const JoinInput& input,
                     const std::vector<mr::Record>& records, int key_col,
                     BroadcastTable* t) {
   std::vector<uint32_t> key_id_of_row;
   std::vector<uint32_t> counts;
-  std::vector<rdf::TermId> row;
-  t->index.Reserve(records.size());
-  for (const mr::Record& r : records) {
-    DecodeInputRowInto(input, r, &row);
-    if (input.predicate && !input.predicate(row)) continue;
+  auto add = [&](const std::vector<rdf::TermId>& row) {
+    if (input.predicate && !input.predicate(row)) return;
     rdf::TermId k = row[key_col];
     auto [id, inserted] = t->index.FindOrInsert(
         mr::kernels::MixId(k), static_cast<uint32_t>(t->keys.size()),
@@ -182,6 +177,18 @@ void BuildBroadcast(const JoinInput& input,
     key_id_of_row.push_back(id);
     t->cells.insert(t->cells.end(), row.begin(), row.end());
     t->row_end.push_back(static_cast<uint32_t>(t->cells.size()));
+  };
+  std::vector<rdf::TermId> row;
+  FlatScratch flat;
+  t->index.Reserve(records.size());
+  for (const mr::Record& r : records) {
+    if (input.factor == nullptr) {
+      DecodeInputRowInto(input, r, &row);
+      add(row);
+    } else if (ParseGroup(r.value, input.factor->factors.size(),
+                          &flat.view)) {
+      ForEachFlatRow(*input.factor, flat.view, &flat, add);
+    }
   }
   // Counting-sort scatter: group rows by key id, file order within a group.
   t->group_end.resize(counts.size());
@@ -198,21 +205,29 @@ void BuildBroadcast(const JoinInput& input,
   }
 }
 
-/// Per-task scratch of the flat relational operators, kept in TaskState
-/// and reused across a map task's records (or a reduce task's key
-/// groups): the decoded row, the current/next cross-product buffers
-/// (width-strided), and the emit buffers.
+/// Per-task scratch of the relational operators, kept in TaskState and
+/// reused across a map task's records (or a reduce task's key groups): the
+/// decoded row, the current/next cross-product buffers (width-strided),
+/// the emit buffers, and the flat enumeration of factorized records.
 struct RowScratch {
   std::vector<rdf::TermId> row, cur, next, pred_row;
   std::string key_buf, val_buf;
+  FlatScratch flat;
 };
 
-/// Repartition-join reduce scratch: additionally each side's rows in a
-/// flat cell pool + CSR row bounds.
-struct JoinReduceScratch : RowScratch {
-  std::vector<std::vector<rdf::TermId>> side_cells;
-  std::vector<std::vector<uint32_t>> side_end;
-};
+/// Calls `fn(row)` for each flat row a table record stands for: the
+/// decoded row of a flat record (`spec` null), or every enumerated row of
+/// a factorized group (none when the group is malformed).
+template <typename Fn>
+void ForEachRecordRow(const Factorization* spec, std::string_view value,
+                      RowScratch* s, Fn&& fn) {
+  if (spec == nullptr) {
+    DecodeRowInto(value, &s->row);
+    fn(s->row);
+  } else if (ParseGroup(value, spec->factors.size(), &s->flat.view)) {
+    ForEachFlatRow(*spec, s->flat.view, &s->flat, fn);
+  }
+}
 
 /// Appends the projection of `row` onto `idx` — EncodeRow's bytes for
 /// those cells — to `out`.
@@ -222,6 +237,28 @@ void AppendProjection(std::string* out, const std::vector<rdf::TermId>& row,
     if (k > 0) *out += ',';
     mr::kernels::AppendDecimal(out, row[static_cast<size_t>(idx[k])]);
   }
+}
+
+/// Replaces the width-strided rows of `s->cur` with their cross product
+/// against `n` rows of one join side, the side's rows innermost: `row(k)`
+/// yields row k's cells as a [begin, end) pair, cell c landing at output
+/// position `pos[c]`. The fold step of both join strategies.
+template <typename RowFn>
+void CrossIn(RowScratch* s, size_t width, const std::vector<int>& pos,
+             size_t n, RowFn&& row) {
+  s->next.clear();
+  for (size_t p = 0; p < s->cur.size() / width; ++p) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t base = s->next.size();
+      s->next.insert(s->next.end(), s->cur.begin() + p * width,
+                     s->cur.begin() + (p + 1) * width);
+      auto [b, e] = row(k);
+      for (size_t c = 0; c < static_cast<size_t>(e - b); ++c) {
+        s->next[base + static_cast<size_t>(pos[c])] = b[c];
+      }
+    }
+  }
+  s->cur.swap(s->next);
 }
 
 /// Emits every width-strided row of `s->cur` that passes `post_predicate`
@@ -243,9 +280,9 @@ void EmitFoldedRows(RowScratch* s, size_t width,
 
 // ---------------------------------------------------------------------------
 // Factorized (d-representation) join machinery — see engines/factorized.h
-// and DESIGN.md §16. A join runs in "fact mode" when any input is
-// factorized or a factorized output was requested; the flat paths above
-// stay byte-for-byte untouched otherwise.
+// and DESIGN.md §16. Joins take these branches for factorized inputs and
+// for a requested factorized output; over flat inputs with a flat output
+// the plans are empty and Join runs the plain relational fold.
 // ---------------------------------------------------------------------------
 
 /// Where a column position lives inside a Factorization.
@@ -304,30 +341,6 @@ struct FactInputPlan {
   bool grouped() const { return spec != nullptr && !stream; }
 };
 
-/// One collected partial group on the reduce side.
-struct FactEntry {
-  std::vector<rdf::TermId> base;   // decoded partial-base cells
-  std::vector<std::string> fsegs;  // owned factor segments
-  std::vector<uint64_t> frows;     // rows per factor
-};
-
-/// Synthesizes the outer-miss entry: NULL base cells + one all-NULL row
-/// per factor.
-FactEntry NullEntry(const Factorization& partial) {
-  FactEntry e;
-  e.base.assign(partial.base_cols.size(), rdf::kInvalidTermId);
-  for (const auto& cols : partial.factors) {
-    std::string seg;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      if (c > 0) seg += ',';
-      seg += '0';
-    }
-    e.fsegs.push_back(std::move(seg));
-    e.frows.push_back(1);
-  }
-  return e;
-}
-
 /// Computes each input's fact-mode map plan.
 std::vector<FactInputPlan> BuildFactInputPlans(
     const std::vector<JoinInput>& inputs, const std::vector<int>& join_idx) {
@@ -365,32 +378,49 @@ std::vector<FactInputPlan> BuildFactInputPlans(
   return plans;
 }
 
-/// Per-side assembly of the factorized OUTPUT spec of a repartition join:
-/// base = [join position] ++ each grouped side's kept partial-base slots;
-/// factors = sides in order (flat side -> one factor of its non-join
-/// columns; grouped side -> its partial factors). Returns null when any
-/// output position would be claimed twice (the flat fold's overwrite
-/// semantics cannot be represented) — callers then emit flat.
-struct FactOutAssembly {
-  FactorizationPtr spec;
-  /// Per side: partial-base slots appended to the output base (grouped
-  /// sides), or input column indices encoded as factor rows (flat sides).
+/// Everything a join job's closures read — inputs, output layout, fact-mode
+/// plans, the map-join's broadcast tables and the factorized output's
+/// assembly. Built once per job, shared read-only by every task.
+struct JoinSpec {
+  std::vector<JoinInput> ins;
+  std::vector<std::vector<int>> out_pos;  // per input: column -> output pos
+  std::vector<int> join_idx;              // per input: join column
+  size_t width = 0;
+  int big = 0;  // map-join: the streamed side
+  RowPredicate post_predicate;
+  std::vector<FactInputPlan> plans;
+  std::vector<BroadcastTable> tables;  // map-join: per small side
+
+  /// Factorized output layout; null = the output is flat.
+  FactorizationPtr out_spec;
+  /// Per input, the columns its factor rows carry: a map-join's small
+  /// sides, a repartition join's flat sides.
+  std::vector<std::vector<int>> keep;
+  /// Repartition join, per grouped side: partial-base slots appended to
+  /// the output base.
   std::vector<std::vector<int>> base_keep;
-  std::vector<std::vector<int>> flat_cols;
+  std::vector<size_t> gsides;  // repartition join: the grouped sides
+  std::string null_cells;      // "0,0,...": NullRow's backing bytes
+
+  /// The encoded all-NULL factor row of `k` cells ("0,...,0"; "" for 0).
+  std::string_view NullRow(size_t k) const {
+    return std::string_view(null_cells).substr(0, k == 0 ? 0 : 2 * k - 1);
+  }
 };
 
-FactOutAssembly BuildFactOutput(const std::vector<JoinInput>& inputs,
-                                const std::vector<FactInputPlan>& plans,
-                                const std::vector<std::vector<int>>& out_pos,
-                                const std::vector<int>& join_idx,
-                                size_t width) {
-  FactOutAssembly out;
-  out.base_keep.resize(inputs.size());
-  out.flat_cols.resize(inputs.size());
+/// Factorized output of a repartition join: base = [join position] ++ each
+/// grouped side's kept partial-base slots; factors = sides in order (flat
+/// side -> one factor of its non-join columns; grouped side -> its partial
+/// factors). Leaves the output flat when any output position would be
+/// claimed twice (the flat fold's overwrite semantics cannot be
+/// represented).
+void BuildFactOutput(JoinSpec* j) {
+  const size_t n = j->ins.size();
+  std::vector<std::vector<int>> base_keep(n), keep(n);
   auto spec = std::make_shared<Factorization>();
-  spec->width = static_cast<int>(width);
-  std::vector<bool> covered(width, false);
-  const int join_out = out_pos[0][static_cast<size_t>(join_idx[0])];
+  spec->width = static_cast<int>(j->width);
+  std::vector<bool> covered(j->width, false);
+  const int join_out = j->out_pos[0][static_cast<size_t>(j->join_idx[0])];
   covered[static_cast<size_t>(join_out)] = true;
   spec->base_cols.push_back(join_out);
   auto claim = [&covered](int pos) {
@@ -399,58 +429,400 @@ FactOutAssembly BuildFactOutput(const std::vector<JoinInput>& inputs,
     return true;
   };
   // Base: join key first, then each grouped side's kept partial-base slots.
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (!plans[i].grouped()) continue;
-    const Factorization& partial = *plans[i].partial;
+  for (size_t i = 0; i < n; ++i) {
+    if (!j->plans[i].grouped()) continue;
+    const Factorization& partial = *j->plans[i].partial;
     for (size_t s = 0; s < partial.base_cols.size(); ++s) {
       const int in_col = partial.base_cols[s];
-      if (in_col == join_idx[i]) continue;  // == the key; emitted once
-      const int pos = out_pos[i][static_cast<size_t>(in_col)];
+      if (in_col == j->join_idx[i]) continue;  // == the key; emitted once
+      const int pos = j->out_pos[i][static_cast<size_t>(in_col)];
       if (pos == join_out) continue;  // same column name as the key
-      if (!claim(pos)) return out;    // conflict: stay flat
+      if (!claim(pos)) return;        // conflict: stay flat
       spec->base_cols.push_back(pos);
-      out.base_keep[i].push_back(static_cast<int>(s));
+      base_keep[i].push_back(static_cast<int>(s));
     }
   }
   // Factors: sides in order.
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (plans[i].grouped()) {
-      const Factorization& partial = *plans[i].partial;
-      for (const auto& cols : partial.factors) {
+  for (size_t i = 0; i < n; ++i) {
+    if (j->plans[i].grouped()) {
+      for (const auto& cols : j->plans[i].partial->factors) {
         std::vector<int> f;
         for (int in_col : cols) {
-          const int pos = out_pos[i][static_cast<size_t>(in_col)];
-          if (!claim(pos)) return out;
+          const int pos = j->out_pos[i][static_cast<size_t>(in_col)];
+          if (!claim(pos)) return;
           f.push_back(pos);
         }
         spec->factors.push_back(std::move(f));
       }
-    } else {
-      std::vector<int> f;
-      std::vector<int> keep;
-      for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
-        if (static_cast<int>(c) == join_idx[i]) continue;
-        const int pos = out_pos[i][static_cast<size_t>(c)];
-        if (pos == join_out) continue;  // duplicate of the key column
-        if (!claim(pos)) return out;
-        f.push_back(pos);
-        keep.push_back(static_cast<int>(c));
-      }
-      spec->factors.push_back(std::move(f));
-      out.flat_cols[i] = std::move(keep);
+      j->gsides.push_back(i);
+      continue;
     }
+    std::vector<int> f;
+    for (size_t c = 0; c < j->ins[i].columns.size(); ++c) {
+      if (static_cast<int>(c) == j->join_idx[i]) continue;
+      const int pos = j->out_pos[i][c];
+      if (pos == join_out) continue;  // duplicate of the key column
+      if (!claim(pos)) return;
+      f.push_back(pos);
+      keep[i].push_back(static_cast<int>(c));
+    }
+    spec->factors.push_back(std::move(f));
   }
-  out.spec = std::move(spec);
-  return out;
+  j->out_spec = std::move(spec);
+  j->base_keep = std::move(base_keep);
+  j->keep = std::move(keep);
 }
 
-/// Factorized-output spec of a map-join (big side -> base + its factors,
-/// one factor per small side) plus each small side's kept column indices.
-/// Null spec = the output stays flat.
-struct MapJoinFactSpec {
-  FactorizationPtr spec;
-  std::vector<std::vector<int>> small_keep;
+/// Factorized output of a map-join: the big side -> base (+ its partial
+/// factors when grouped), one factor per small side of its non-join
+/// columns. Leaves the output flat on any double-claimed position.
+void BuildMapJoinFactOutput(JoinSpec* j) {
+  const size_t n = j->ins.size();
+  const size_t big = static_cast<size_t>(j->big);
+  std::vector<std::vector<int>> keep(n);
+  auto spec = std::make_shared<Factorization>();
+  spec->width = static_cast<int>(j->width);
+  std::vector<bool> covered(j->width, false);
+  bool ok = true;
+  auto claim = [&](int pos) {
+    ok = ok && !covered[static_cast<size_t>(pos)];
+    covered[static_cast<size_t>(pos)] = true;
+    return pos;
+  };
+  const std::vector<int>& big_pos = j->out_pos[big];
+  if (j->plans[big].grouped()) {
+    const Factorization& partial = *j->plans[big].partial;
+    for (int c : partial.base_cols) {
+      spec->base_cols.push_back(claim(big_pos[static_cast<size_t>(c)]));
+    }
+    for (const auto& cols : partial.factors) {
+      std::vector<int> f;
+      for (int c : cols) f.push_back(claim(big_pos[static_cast<size_t>(c)]));
+      spec->factors.push_back(std::move(f));
+    }
+  } else {
+    for (int pos : big_pos) spec->base_cols.push_back(claim(pos));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i == big) continue;
+    std::vector<int> f;
+    for (size_t c = 0; c < j->ins[i].columns.size(); ++c) {
+      if (static_cast<int>(c) == j->join_idx[i]) continue;
+      f.push_back(claim(j->out_pos[i][c]));
+      keep[i].push_back(static_cast<int>(c));
+    }
+    spec->factors.push_back(std::move(f));
+  }
+  if (!ok) return;
+  j->out_spec = std::move(spec);
+  j->keep = std::move(keep);
+}
+
+/// Map scratch of the join: besides RowScratch, the group encoder, one
+/// factor row's cells, and each small side's probed broadcast group.
+struct JoinMapScratch : RowScratch {
+  GroupEncoder enc;
+  std::vector<rdf::TermId> cells;
+  std::vector<uint32_t> match;
 };
+
+/// Probes every small side of a map-join for `key`, recording each side's
+/// broadcast group in `s->match` (kNotFound: outer miss). False on an
+/// inner miss — the big row then produces no output.
+bool ProbeSmalls(const JoinSpec& j, rdf::TermId key, JoinMapScratch* s) {
+  s->match.assign(j.ins.size(), mr::kernels::HashIndex::kNotFound);
+  for (size_t i = 0; i < j.ins.size(); ++i) {
+    if (i == static_cast<size_t>(j.big)) continue;
+    s->match[i] = j.tables[i].Find(key);
+    if (s->match[i] == mr::kernels::HashIndex::kNotFound && !j.ins[i].outer) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Appends one factor per small side to `s->enc`: the matched broadcast
+/// rows' kept cells, or one all-NULL row for an outer miss.
+void AppendSmallFactors(const JoinSpec& j, JoinMapScratch* s) {
+  for (size_t i = 0; i < j.ins.size(); ++i) {
+    if (i == static_cast<size_t>(j.big)) continue;
+    const std::vector<int>& keep = j.keep[i];
+    s->enc.StartFactor();
+    const uint32_t id = s->match[i];
+    if (id == mr::kernels::HashIndex::kNotFound) {
+      s->enc.AddRawFactorRow(j.NullRow(keep.size()));
+      continue;
+    }
+    const BroadcastTable& t = j.tables[i];
+    for (uint32_t g = t.GroupBegin(id); g < t.group_end[id]; ++g) {
+      const rdf::TermId* row = t.cells.data() + t.RowBegin(t.row_of[g]);
+      s->cells.clear();
+      for (int c : keep) s->cells.push_back(row[c]);
+      s->enc.AddFactorRow(s->cells.data(), s->cells.size());
+    }
+  }
+}
+
+/// Map-join of one flat big-side row: folds every matched small side into
+/// flat output rows, or — factorized output — emits one group record.
+void MapJoinRow(const JoinSpec& j, const std::vector<rdf::TermId>& row,
+                JoinMapScratch* s, mr::MapContext* ctx) {
+  const size_t big = static_cast<size_t>(j.big);
+  if (!ProbeSmalls(j, row[static_cast<size_t>(j.join_idx[big])], s)) return;
+  if (j.out_spec == nullptr) {
+    s->cur.assign(j.width, rdf::kInvalidTermId);
+    for (size_t c = 0; c < row.size(); ++c) {
+      s->cur[static_cast<size_t>(j.out_pos[big][c])] = row[c];
+    }
+    for (size_t i = 0; i < j.ins.size(); ++i) {
+      const uint32_t id = s->match[i];
+      if (i == big || id == mr::kernels::HashIndex::kNotFound) continue;
+      const BroadcastTable& t = j.tables[i];
+      CrossIn(s, j.width, j.out_pos[i], t.group_end[id] - t.GroupBegin(id),
+              [&](size_t k) {
+                const uint32_t r = t.row_of[t.GroupBegin(id) + k];
+                return std::make_pair(t.cells.data() + t.RowBegin(r),
+                                      t.cells.data() + t.row_end[r]);
+              });
+    }
+    EmitFoldedRows(s, j.width, j.post_predicate, ctx);
+    return;
+  }
+  s->enc.Start();
+  for (rdf::TermId c : row) s->enc.AddBaseCell(c);
+  AppendSmallFactors(j, s);
+  ctx->Emit("", s->enc.Finish());
+  ctx->NoteFactorizedGroup(s->enc.flat_rows());
+}
+
+/// Map-join of a grouped big side into a factorized output: the group
+/// passes through with one matched factor appended per small side. A join
+/// column inside a factor binds one of its rows per emitted group.
+void MapJoinGroup(const JoinSpec& j, JoinMapScratch* s,
+                  mr::MapContext* ctx) {
+  const FactInputPlan& bp = j.plans[static_cast<size_t>(j.big)];
+  const GroupView& view = s->flat.view;
+  const size_t nf = bp.spec->factors.size();
+  auto emit = [&] {
+    AppendSmallFactors(j, s);
+    ctx->Emit("", s->enc.Finish());
+    ctx->NoteFactorizedGroup(s->enc.flat_rows());
+  };
+  if (bp.join_factor < 0) {
+    rdf::TermId key = rdf::kInvalidTermId;
+    if (bp.join_slot >= 0) {
+      DecodeFactorRowInto(view.base, bp.spec->base_cols.size(), &s->row);
+      key = s->row[static_cast<size_t>(bp.join_slot)];
+    }
+    if (!ProbeSmalls(j, key, s)) return;
+    s->enc.Start();
+    s->enc.AddRawBase(view.base);
+    for (size_t g = 0; g < nf; ++g) {
+      s->enc.AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
+    }
+    emit();
+    return;
+  }
+  const size_t jf = static_cast<size_t>(bp.join_factor);
+  for (size_t t = view.FactorBegin(jf); t < view.factor_end[jf]; ++t) {
+    DecodeFactorRowInto(view.rows[t], bp.spec->factors[jf].size(), &s->row);
+    if (!ProbeSmalls(j, s->row[static_cast<size_t>(bp.join_slot)], s)) {
+      continue;
+    }
+    s->enc.Start();
+    s->enc.AddRawBase(view.base);
+    for (rdf::TermId c : s->row) s->enc.AddBaseCell(c);
+    for (size_t g = 0; g < nf; ++g) {
+      if (g == jf) continue;
+      s->enc.AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
+    }
+    emit();
+  }
+}
+
+/// Repartition map of a grouped side's group record: ships it through the
+/// shuffle under its join key as "tag#group". A join column inside a
+/// factor is partially decompressed instead — one emission per row of that
+/// factor, its cells appended to the base, every other factor staying
+/// compressed across the shuffle.
+void EmitPartialGroups(const JoinSpec& j, int tag, std::string_view value,
+                       JoinMapScratch* s, mr::MapContext* ctx) {
+  const FactInputPlan& p = j.plans[static_cast<size_t>(tag)];
+  const GroupView& view = s->flat.view;
+  auto start_value = [&] {
+    s->val_buf.clear();
+    mr::kernels::AppendDecimal(&s->val_buf, static_cast<uint64_t>(tag));
+    s->val_buf += '#';
+  };
+  auto emit = [&](rdf::TermId key) {
+    s->key_buf.clear();
+    mr::kernels::AppendDecimal(&s->key_buf, key);
+    ctx->Emit(s->key_buf, s->val_buf);
+  };
+  if (p.join_factor < 0) {
+    // Join column in the base (or uncovered: NULL): the whole group.
+    rdf::TermId key = rdf::kInvalidTermId;
+    if (p.join_slot >= 0) {
+      DecodeFactorRowInto(view.base, p.spec->base_cols.size(), &s->row);
+      key = s->row[static_cast<size_t>(p.join_slot)];
+    }
+    start_value();
+    s->val_buf.append(value);
+    emit(key);
+    return;
+  }
+  const size_t jf = static_cast<size_t>(p.join_factor);
+  for (size_t t = view.FactorBegin(jf); t < view.factor_end[jf]; ++t) {
+    DecodeFactorRowInto(view.rows[t], p.spec->factors[jf].size(), &s->row);
+    start_value();
+    s->val_buf.append(view.base);
+    if (!p.spec->base_cols.empty()) s->val_buf += ',';
+    AppendRow(&s->val_buf, s->row);
+    for (size_t g = 0; g < p.spec->factors.size(); ++g) {
+      if (g == jf) continue;
+      s->val_buf += '|';
+      s->val_buf.append(FactorSegment(view, g));
+    }
+    emit(s->row[static_cast<size_t>(p.join_slot)]);
+  }
+}
+
+/// Reduce scratch of the repartition join: each side's rows as one flat
+/// cell pool plus CSR row ends. For a factorized output a grouped side's
+/// pool holds each partial group's base cells instead, and `segs` its
+/// factor segments, entry-major — views into the reduce call's values (or
+/// JoinSpec::NullRow), valid for the call.
+struct JoinReduceScratch : RowScratch {
+  struct Segment {
+    std::string_view bytes;
+    uint64_t rows;
+  };
+  std::vector<std::vector<rdf::TermId>> side_cells;
+  std::vector<std::vector<uint32_t>> side_end;
+  std::vector<std::vector<Segment>> segs;
+  std::vector<std::string> flat_seg;  // per flat side: its shared factor
+  std::vector<size_t> idx;            // odometer over the grouped sides
+  GroupEncoder enc;
+
+  void AddRow(size_t side, const std::vector<rdf::TermId>& row) {
+    side_cells[side].insert(side_cells[side].end(), row.begin(), row.end());
+    side_end[side].push_back(static_cast<uint32_t>(side_cells[side].size()));
+  }
+  const rdf::TermId* Row(size_t side, size_t k) const {
+    return side_cells[side].data() + (k == 0 ? 0 : side_end[side][k - 1]);
+  }
+};
+
+/// Sorts one repartition key group's tagged values into per-side pools:
+/// flat rows ("tag|row") decode into their side's pool; partial groups
+/// ("tag#group") are decompressed into it (`flatten`) or, for a
+/// factorized output, kept as base cells plus factor segment views.
+void CollectSides(const JoinSpec& j, const mr::ValueSpan& values,
+                  bool flatten, JoinReduceScratch* s) {
+  const size_t n = j.ins.size();
+  s->side_cells.resize(n);
+  s->side_end.resize(n);
+  s->segs.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    s->side_cells[i].clear();
+    s->side_end[i].clear();
+    s->segs[i].clear();
+  }
+  for (std::string_view v : values) {
+    const size_t bar = v.find_first_of("|#");
+    if (bar == std::string_view::npos || bar + 1 >= v.size()) continue;
+    int64_t tag = 0;
+    ParseInt64(v.substr(0, bar), &tag);
+    const size_t side = static_cast<size_t>(tag);
+    const std::string_view payload = v.substr(bar + 1);
+    const Factorization* partial =
+        v[bar] == '|' ? nullptr : j.plans[side].partial.get();
+    if (partial == nullptr || flatten) {
+      ForEachRecordRow(partial, payload, s,
+                       [&](const std::vector<rdf::TermId>& row) {
+                         s->AddRow(side, row);
+                       });
+      continue;
+    }
+    if (!ParseGroup(payload, partial->factors.size(), &s->flat.view)) continue;
+    const GroupView& view = s->flat.view;
+    DecodeFactorRowInto(view.base, partial->base_cols.size(), &s->row);
+    s->AddRow(side, s->row);
+    for (size_t g = 0; g < partial->factors.size(); ++g) {
+      s->segs[side].push_back({FactorSegment(view, g), view.FactorRows(g)});
+    }
+  }
+}
+
+/// Factorized-output reduce of one join key: crosses the grouped sides'
+/// partial groups (one output group per combination); each flat side
+/// contributes one factor shared by every emitted group. An outer side
+/// that missed contributes one all-NULL row.
+void EmitJoinGroups(const JoinSpec& j, std::string_view key,
+                    JoinReduceScratch* s, mr::ReduceContext* ctx) {
+  const size_t n = j.ins.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (!s->side_end[i].empty()) continue;
+    if (i == 0 || !j.ins[i].outer) return;  // inner miss
+    if (j.plans[i].grouped()) {
+      const Factorization& partial = *j.plans[i].partial;
+      s->row.assign(partial.base_cols.size(), rdf::kInvalidTermId);
+      for (const auto& cols : partial.factors) {
+        s->segs[i].push_back({j.NullRow(cols.size()), 1});
+      }
+    } else {
+      s->row.assign(j.ins[i].columns.size(), rdf::kInvalidTermId);
+    }
+    s->AddRow(i, s->row);
+  }
+  int64_t kv = 0;
+  ParseDigits(key, &kv);
+  s->flat_seg.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (j.plans[i].grouped()) continue;
+    std::string& seg = s->flat_seg[i];
+    seg.clear();
+    for (size_t r = 0; r < s->side_end[i].size(); ++r) {
+      if (r > 0) seg += ';';
+      const rdf::TermId* row = s->Row(i, r);
+      for (size_t k = 0; k < j.keep[i].size(); ++k) {
+        if (k > 0) seg += ',';
+        mr::kernels::AppendDecimal(&seg, row[j.keep[i][k]]);
+      }
+    }
+  }
+  s->idx.assign(j.gsides.size(), 0);
+  GroupEncoder& enc = s->enc;
+  for (;;) {
+    enc.Start();
+    enc.AddBaseCell(static_cast<rdf::TermId>(kv));
+    for (size_t gi = 0; gi < j.gsides.size(); ++gi) {
+      const rdf::TermId* base = s->Row(j.gsides[gi], s->idx[gi]);
+      for (int slot : j.base_keep[j.gsides[gi]]) enc.AddBaseCell(base[slot]);
+    }
+    for (size_t i = 0, gi = 0; i < n; ++i) {
+      if (!j.plans[i].grouped()) {
+        enc.AddRawFactor(s->flat_seg[i], s->side_end[i].size());
+        continue;
+      }
+      const size_t nf = j.plans[i].partial->factors.size();
+      for (size_t g = 0; g < nf; ++g) {
+        const JoinReduceScratch::Segment& seg = s->segs[i][s->idx[gi] * nf + g];
+        enc.AddRawFactor(seg.bytes, seg.rows);
+      }
+      ++gi;
+    }
+    ctx->Emit("", enc.Finish());
+    ctx->NoteFactorizedGroup(enc.flat_rows());
+    size_t g = j.gsides.size();
+    for (;;) {
+      if (g == 0) return;
+      --g;
+      if (++s->idx[g] < s->side_end[j.gsides[g]].size()) break;
+      s->idx[g] = 0;
+    }
+  }
+}
 
 }  // namespace
 
@@ -462,14 +834,16 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
   // Output layout: first input's columns, then the unseen columns of each
   // later input. Per input: mapping from its columns to output positions,
   // and the index of its join column.
+  auto j = std::make_shared<JoinSpec>();
+  j->ins = inputs;
   std::vector<std::string> out_columns = inputs[0].columns;
-  std::vector<std::vector<int>> out_pos(inputs.size());
-  std::vector<int> join_idx(inputs.size());
+  j->out_pos.resize(inputs.size());
+  j->join_idx.resize(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    join_idx[i] = -1;
+    j->join_idx[i] = -1;
     for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
       const std::string& name = inputs[i].columns[c];
-      if (name == inputs[i].join_column) join_idx[i] = static_cast<int>(c);
+      if (name == inputs[i].join_column) j->join_idx[i] = static_cast<int>(c);
       auto it = std::find(out_columns.begin(), out_columns.end(), name);
       int pos;
       if (it == out_columns.end()) {
@@ -478,9 +852,9 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
       } else {
         pos = static_cast<int>(it - out_columns.begin());
       }
-      out_pos[i].push_back(pos);
+      j->out_pos[i].push_back(pos);
     }
-    if (join_idx[i] < 0) {
+    if (j->join_idx[i] < 0) {
       return Status::InvalidArgument("join column '" + inputs[i].join_column +
                                      "' not among input columns");
     }
@@ -488,14 +862,17 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
       return Status::InvalidArgument("first join input cannot be outer");
     }
   }
-  const size_t width = out_columns.size();
+  j->width = out_columns.size();
+  j->post_predicate = std::move(post_predicate);
+  j->plans = BuildFactInputPlans(inputs, j->join_idx);
+  j->null_cells = "0";
+  for (size_t c = 1; c < j->width; ++c) j->null_cells += ",0";
 
   // Map-join eligibility: every input but the largest fits the threshold,
   // and the largest is not an outer input. Factorized inputs are sized by
   // their FLAT equivalent so the strategy choice matches the flat path
   // exactly (a factorized file is smaller; deciding on its stored size
   // could flip the join strategy and with it the output row order).
-  int big = 0;
   uint64_t big_bytes = 0;
   std::vector<uint64_t> sizes(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
@@ -503,24 +880,16 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
                                          : dataset_->VpFileBytes(inputs[i].file);
     if (sizes[i] > big_bytes) {
       big_bytes = sizes[i];
-      big = static_cast<int>(i);
+      j->big = static_cast<int>(i);
     }
   }
   bool map_join = options_.enable_map_joins && inputs.size() > 1;
   for (size_t i = 0; i < inputs.size(); ++i) {
-    if (static_cast<int>(i) == big) continue;
+    if (static_cast<int>(i) == j->big) continue;
     if (sizes[i] > options_.map_join_threshold_bytes) map_join = false;
   }
-  if (inputs[big].outer) map_join = false;
-
-  bool any_factorized = false;
-  for (const JoinInput& in : inputs) {
-    if (in.factor != nullptr) any_factorized = true;
-  }
-  if (any_factorized || factorize_output) {
-    return FactJoin(name_hint, inputs, post_predicate, factorize_output,
-                    map_join, big, out_columns, out_pos, join_idx);
-  }
+  if (inputs[j->big].outer) map_join = false;
+  const bool fact_out = factorize_output && j->post_predicate == nullptr;
 
   TableRef out;
   out.file = NextTmp(name_hint);
@@ -531,686 +900,113 @@ StatusOr<TableRef> RelationalOps::Join(const std::string& name_hint,
   for (const JoinInput& in : inputs) job.inputs.push_back(in.file);
   job.output = out.file;
 
-  // Shared copies for the closures.
-  auto ins = std::make_shared<std::vector<JoinInput>>(inputs);
-
   if (map_join) {
-    // Map-join: CSR broadcast tables probed through HashIndex; each big
-    // row folds in every small side through width-strided cross-product
-    // buffers kept in task scratch.
-    auto tables =
-        std::make_shared<std::vector<BroadcastTable>>(inputs.size());
+    // Map-join: every small side becomes a CSR broadcast table probed
+    // through HashIndex (factorized smalls feed their decompressed rows);
+    // each big row folds in every small side through width-strided
+    // cross-product buffers kept in task scratch — or, for a factorized
+    // output, becomes one group record (a grouped big side passes its
+    // group through) with one factor per small side.
+    j->tables.resize(inputs.size());
     for (size_t i = 0; i < inputs.size(); ++i) {
-      if (static_cast<int>(i) == big) continue;
+      if (static_cast<int>(i) == j->big) continue;
       RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                               dataset_->dfs().Open(inputs[i].file));
-      BuildBroadcast(inputs[i], f->records, join_idx[i], &(*tables)[i]);
+      BuildBroadcast(inputs[i], f->records, j->join_idx[i], &j->tables[i]);
     }
-    job.map = [ins, tables, big, out_pos, join_idx, width, post_predicate](
-                  const mr::Record& r, int tag, mr::MapContext* ctx) {
-      if (tag != big) return;  // broadcast copies: scanned, not re-emitted
-      const JoinInput& input = (*ins)[big];
-      RowScratch* s = ctx->TaskState<RowScratch>();
-      DecodeInputRowInto(input, r, &s->row);
-      if (input.predicate && !input.predicate(s->row)) return;
-      rdf::TermId key = s->row[join_idx[big]];
-      // Start from the big row, fold in each small side.
-      s->cur.assign(width, rdf::kInvalidTermId);
-      for (size_t c = 0; c < s->row.size(); ++c) {
-        s->cur[out_pos[big][c]] = s->row[c];
+    if (fact_out) BuildMapJoinFactOutput(j.get());
+    job.map = [j](const mr::Record& r, int tag, mr::MapContext* ctx) {
+      if (tag != j->big) return;  // broadcast copies: scanned, not re-emitted
+      const JoinInput& input = j->ins[static_cast<size_t>(tag)];
+      const FactInputPlan& bp = j->plans[static_cast<size_t>(tag)];
+      JoinMapScratch* s = ctx->TaskState<JoinMapScratch>();
+      auto join_row = [&](const std::vector<rdf::TermId>& row) {
+        if (input.predicate && !input.predicate(row)) return;
+        MapJoinRow(*j, row, s, ctx);
+      };
+      if (bp.spec == nullptr) {
+        DecodeInputRowInto(input, r, &s->row);
+        join_row(s->row);
+        return;
       }
-      for (size_t i = 0; i < ins->size(); ++i) {
-        if (i == static_cast<size_t>(big)) continue;
-        const BroadcastTable& t = (*tables)[i];
-        uint32_t id = t.index.Find(mr::kernels::MixId(key), [&](uint32_t cand) {
-          return t.keys[cand] == key;
-        });
-        if (id == mr::kernels::HashIndex::kNotFound) {
-          if (!(*ins)[i].outer) return;  // inner miss: no output
-          continue;                      // outer: leave columns NULL
-        }
-        s->next.clear();
-        for (size_t p = 0; p < s->cur.size() / width; ++p) {
-          for (uint32_t g = t.GroupBegin(id); g < t.group_end[id]; ++g) {
-            uint32_t r2 = t.row_of[g];
-            size_t base = s->next.size();
-            s->next.insert(s->next.end(), s->cur.begin() + p * width,
-                           s->cur.begin() + (p + 1) * width);
-            uint32_t cb = t.RowBegin(r2);
-            for (uint32_t c = cb; c < t.row_end[r2]; ++c) {
-              s->next[base + out_pos[i][c - cb]] = t.cells[c];
-            }
-          }
-        }
-        s->cur.swap(s->next);
+      if (!ParseGroup(r.value, bp.spec->factors.size(), &s->flat.view)) {
+        return;
       }
-      EmitFoldedRows(s, width, post_predicate, ctx);
+      if (bp.stream || j->out_spec == nullptr) {
+        // Stream-decompress the big side (predicate present, or the
+        // output is flat anyway).
+        ForEachFlatRow(*bp.spec, s->flat.view, &s->flat, join_row);
+      } else {
+        MapJoinGroup(*j, s, ctx);
+      }
     };
   } else {
-    // Repartition join: the map tags each row with its side; the reduce
-    // keeps each side as a flat CSR pool in per-reduce-task scratch.
-    job.map = [ins, join_idx](const mr::Record& r, int tag,
-                              mr::MapContext* ctx) {
-      const JoinInput& input = (*ins)[tag];
-      RowScratch* s = ctx->TaskState<RowScratch>();
-      DecodeInputRowInto(input, r, &s->row);
-      if (input.predicate && !input.predicate(s->row)) return;
-      s->key_buf.clear();
-      mr::kernels::AppendDecimal(&s->key_buf, s->row[join_idx[tag]]);
-      s->val_buf.clear();
-      mr::kernels::AppendDecimal(&s->val_buf, static_cast<uint64_t>(tag));
-      s->val_buf += '|';
-      AppendRow(&s->val_buf, s->row);
-      ctx->Emit(s->key_buf, s->val_buf);
+    // Repartition join: the map tags each row ("tag|row") or partial group
+    // ("tag#group") with its side; the reduce keeps each side as a flat
+    // CSR pool in per-reduce-task scratch.
+    if (fact_out && inputs.size() >= 2) BuildFactOutput(j.get());
+    job.map = [j](const mr::Record& r, int tag, mr::MapContext* ctx) {
+      const JoinInput& input = j->ins[static_cast<size_t>(tag)];
+      const FactInputPlan& p = j->plans[static_cast<size_t>(tag)];
+      JoinMapScratch* s = ctx->TaskState<JoinMapScratch>();
+      auto emit_row = [&](const std::vector<rdf::TermId>& row) {
+        if (input.predicate && !input.predicate(row)) return;
+        s->key_buf.clear();
+        mr::kernels::AppendDecimal(
+            &s->key_buf, row[static_cast<size_t>(j->join_idx[tag])]);
+        s->val_buf.clear();
+        mr::kernels::AppendDecimal(&s->val_buf, static_cast<uint64_t>(tag));
+        s->val_buf += '|';
+        AppendRow(&s->val_buf, row);
+        ctx->Emit(s->key_buf, s->val_buf);
+      };
+      if (p.spec == nullptr) {
+        DecodeInputRowInto(input, r, &s->row);
+        emit_row(s->row);
+        return;
+      }
+      if (!ParseGroup(r.value, p.spec->factors.size(), &s->flat.view)) return;
+      if (p.stream) {
+        ForEachFlatRow(*p.spec, s->flat.view, &s->flat, emit_row);
+      } else {
+        EmitPartialGroups(*j, tag, r.value, s, ctx);
+      }
     };
-    job.reduce = [ins, out_pos, width, post_predicate](
-                     std::string_view /*key*/, const mr::ValueSpan& values,
-                     mr::ReduceContext* ctx) {
-      JoinReduceScratch* s = ctx->TaskState<JoinReduceScratch>();
-      s->side_cells.resize(ins->size());
-      s->side_end.resize(ins->size());
-      for (size_t i = 0; i < ins->size(); ++i) {
-        s->side_cells[i].clear();
-        s->side_end[i].clear();
-      }
-      for (std::string_view v : values) {
-        size_t bar = v.find('|');
-        if (bar == std::string_view::npos) continue;
-        int64_t tag = 0;
-        ParseInt64(v.substr(0, bar), &tag);
-        DecodeRowInto(v.substr(bar + 1), &s->row);
-        auto& cells = s->side_cells[tag];
-        cells.insert(cells.end(), s->row.begin(), s->row.end());
-        s->side_end[tag].push_back(static_cast<uint32_t>(cells.size()));
-      }
-      if (s->side_end[0].empty()) return;
-      s->cur.clear();
-      for (size_t r = 0; r < s->side_end[0].size(); ++r) {
-        size_t base = s->cur.size();
-        s->cur.resize(base + width, rdf::kInvalidTermId);
-        uint32_t cb = r == 0 ? 0 : s->side_end[0][r - 1];
-        for (uint32_t c = cb; c < s->side_end[0][r]; ++c) {
-          s->cur[base + out_pos[0][c - cb]] = s->side_cells[0][c];
-        }
-      }
-      for (size_t i = 1; i < ins->size(); ++i) {
-        if (s->side_end[i].empty()) {
-          if (!(*ins)[i].outer) return;
-          continue;
-        }
-        s->next.clear();
-        for (size_t p = 0; p < s->cur.size() / width; ++p) {
-          for (size_t r = 0; r < s->side_end[i].size(); ++r) {
-            size_t base = s->next.size();
-            s->next.insert(s->next.end(), s->cur.begin() + p * width,
-                           s->cur.begin() + (p + 1) * width);
-            uint32_t cb = r == 0 ? 0 : s->side_end[i][r - 1];
-            for (uint32_t c = cb; c < s->side_end[i][r]; ++c) {
-              s->next[base + out_pos[i][c - cb]] = s->side_cells[i][c];
-            }
+    if (j->out_spec != nullptr) {
+      job.reduce = [j](std::string_view key, const mr::ValueSpan& values,
+                       mr::ReduceContext* ctx) {
+        JoinReduceScratch* s = ctx->TaskState<JoinReduceScratch>();
+        CollectSides(*j, values, /*flatten=*/false, s);
+        EmitJoinGroups(*j, key, s, ctx);
+      };
+    } else {
+      // Flat output: every side decompressed into its pool, then the fold.
+      job.reduce = [j](std::string_view /*key*/, const mr::ValueSpan& values,
+                       mr::ReduceContext* ctx) {
+        JoinReduceScratch* s = ctx->TaskState<JoinReduceScratch>();
+        CollectSides(*j, values, /*flatten=*/true, s);
+        s->cur.assign(j->width, rdf::kInvalidTermId);
+        for (size_t i = 0; i < j->ins.size(); ++i) {
+          const std::vector<uint32_t>& ends = s->side_end[i];
+          if (ends.empty()) {
+            if (!j->ins[i].outer) return;  // inner miss (side 0 included)
+            continue;
           }
+          CrossIn(s, j->width, j->out_pos[i], ends.size(), [&](size_t k) {
+            return std::make_pair(s->Row(i, k), s->Row(i, k + 1));
+          });
         }
-        s->cur.swap(s->next);
-      }
-      EmitFoldedRows(s, width, post_predicate, ctx);
-    };
+        EmitFoldedRows(s, j->width, j->post_predicate, ctx);
+      };
+    }
     // Pure function of (key, values): reducers may run concurrently.
     job.reduce_parallel_safe = true;
   }
 
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats ignored, cluster_->Run(job));
   (void)ignored;
-  return out;
-}
-
-StatusOr<TableRef> RelationalOps::FactJoin(
-    const std::string& name_hint, const std::vector<JoinInput>& inputs,
-    RowPredicate post_predicate, bool factorize_output, bool map_join,
-    int big, const std::vector<std::string>& out_columns,
-    const std::vector<std::vector<int>>& out_pos,
-    const std::vector<int>& join_idx) {
-  const size_t width = out_columns.size();
-  auto ins = std::make_shared<std::vector<JoinInput>>(inputs);
-  auto plans = std::make_shared<std::vector<FactInputPlan>>(
-      BuildFactInputPlans(inputs, join_idx));
-
-  TableRef out;
-  out.file = NextTmp(name_hint);
-  out.columns = out_columns;
-
-  mr::JobConfig job;
-  job.name = name_hint + (map_join ? " (map-join)" : "");
-  for (const JoinInput& in : inputs) job.inputs.push_back(in.file);
-  job.output = out.file;
-
-  FactorizationPtr out_spec;
-
-  if (map_join) {
-    // ---- map-only path: broadcast every small side (factorized smalls
-    // are decompressed at build time), stream the big side. Factorized
-    // output: one group record per big row (or per big partial group)
-    // instead of the enumerated cross product. ----
-    auto hashes = std::make_shared<std::vector<
-        std::unordered_map<rdf::TermId,
-                           std::vector<std::vector<rdf::TermId>>>>>();
-    hashes->resize(inputs.size());
-    {
-      GroupView gv;
-      std::vector<rdf::TermId> tmp_row;
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        if (static_cast<int>(i) == big) continue;
-        RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
-                                dataset_->dfs().Open(inputs[i].file));
-        for (const mr::Record& r : f->records) {
-          if ((*plans)[i].spec != nullptr) {
-            if (!ParseGroup(r.value, (*plans)[i].spec->factors.size(), &gv)) {
-              continue;
-            }
-            ForEachFlatRow(*(*plans)[i].spec, gv, &tmp_row,
-                           [&](const std::vector<rdf::TermId>& fr) {
-                             if (inputs[i].predicate &&
-                                 !inputs[i].predicate(fr)) {
-                               return;
-                             }
-                             (*hashes)[i][fr[static_cast<size_t>(
-                                               join_idx[i])]]
-                                 .push_back(fr);
-                           });
-          } else {
-            std::vector<rdf::TermId> row = DecodeInputRow(inputs[i], r);
-            if (inputs[i].predicate && !inputs[i].predicate(row)) continue;
-            (*hashes)[i][row[static_cast<size_t>(join_idx[i])]].push_back(
-                std::move(row));
-          }
-        }
-      }
-    }
-
-    // Output spec: big side -> base (+ its factors when grouped), one
-    // factor per small side. Any double-claimed position => stay flat.
-    auto mjf = std::make_shared<MapJoinFactSpec>();
-    if (factorize_output && post_predicate == nullptr) {
-      auto spec = std::make_shared<Factorization>();
-      spec->width = static_cast<int>(width);
-      std::vector<bool> covered(width, false);
-      bool ok = true;
-      auto claim = [&covered, &ok](int pos) {
-        if (covered[static_cast<size_t>(pos)]) {
-          ok = false;
-          return;
-        }
-        covered[static_cast<size_t>(pos)] = true;
-      };
-      const FactInputPlan& bp = (*plans)[static_cast<size_t>(big)];
-      if (bp.grouped()) {
-        for (int c : bp.partial->base_cols) {
-          const int pos = out_pos[static_cast<size_t>(big)]
-                                 [static_cast<size_t>(c)];
-          claim(pos);
-          spec->base_cols.push_back(pos);
-        }
-        for (const auto& cols : bp.partial->factors) {
-          std::vector<int> f;
-          for (int c : cols) {
-            const int pos = out_pos[static_cast<size_t>(big)]
-                                   [static_cast<size_t>(c)];
-            claim(pos);
-            f.push_back(pos);
-          }
-          spec->factors.push_back(std::move(f));
-        }
-      } else {
-        for (size_t c = 0; c < inputs[static_cast<size_t>(big)].columns.size();
-             ++c) {
-          const int pos = out_pos[static_cast<size_t>(big)][c];
-          claim(pos);
-          spec->base_cols.push_back(pos);
-        }
-      }
-      mjf->small_keep.resize(inputs.size());
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        if (static_cast<int>(i) == big) continue;
-        std::vector<int> f;
-        std::vector<int> keep;
-        for (size_t c = 0; c < inputs[i].columns.size(); ++c) {
-          if (static_cast<int>(c) == join_idx[i]) continue;
-          const int pos = out_pos[i][c];
-          claim(pos);
-          f.push_back(pos);
-          keep.push_back(static_cast<int>(c));
-        }
-        spec->factors.push_back(std::move(f));
-        mjf->small_keep[i] = std::move(keep);
-      }
-      if (ok) {
-        mjf->spec = spec;
-        out_spec = spec;
-      }
-    }
-
-    job.map = [ins, plans, hashes, big, out_pos, join_idx, width,
-               post_predicate, mjf](const mr::Record& r, int tag,
-                                    mr::MapContext* ctx) {
-      if (tag != big) return;  // broadcast copies: scanned, not re-emitted
-      const JoinInput& input = (*ins)[static_cast<size_t>(big)];
-      const FactInputPlan& bp = (*plans)[static_cast<size_t>(big)];
-      const bool fact_out = mjf->spec != nullptr;
-
-      // Flat fold of one big row (flat output), as in the flat map-join.
-      auto fold_row = [&](const std::vector<rdf::TermId>& row) {
-        rdf::TermId key = row[static_cast<size_t>(join_idx[big])];
-        std::vector<std::vector<rdf::TermId>> results;
-        {
-          std::vector<rdf::TermId> base(width, rdf::kInvalidTermId);
-          for (size_t c = 0; c < row.size(); ++c) {
-            base[static_cast<size_t>(out_pos[static_cast<size_t>(big)][c])] =
-                row[c];
-          }
-          results.push_back(std::move(base));
-        }
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          auto it = (*hashes)[i].find(key);
-          bool empty = it == (*hashes)[i].end() || it->second.empty();
-          if (empty) {
-            if (!(*ins)[i].outer) return;
-            continue;
-          }
-          std::vector<std::vector<rdf::TermId>> next;
-          for (const auto& partial : results) {
-            for (const auto& srow : it->second) {
-              std::vector<rdf::TermId> merged = partial;
-              for (size_t c = 0; c < srow.size(); ++c) {
-                merged[static_cast<size_t>(out_pos[i][c])] = srow[c];
-              }
-              next.push_back(std::move(merged));
-            }
-          }
-          results = std::move(next);
-        }
-        for (const auto& merged : results) {
-          if (post_predicate && !post_predicate(merged)) continue;
-          ctx->Emit("", EncodeRow(merged));
-        }
-      };
-
-      // One output group per big row (factorized output, flat big side).
-      auto group_row = [&](const std::vector<rdf::TermId>& row) {
-        rdf::TermId key = row[static_cast<size_t>(join_idx[big])];
-        std::vector<const std::vector<std::vector<rdf::TermId>>*> matches(
-            ins->size(), nullptr);
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          auto it = (*hashes)[i].find(key);
-          bool empty = it == (*hashes)[i].end() || it->second.empty();
-          if (empty) {
-            if (!(*ins)[i].outer) return;  // inner miss: no output
-            continue;                      // outer: NULL factor row below
-          }
-          matches[i] = &it->second;
-        }
-        GroupEncoder enc;
-        enc.Start();
-        for (size_t c = 0; c < row.size(); ++c) enc.AddBaseCell(row[c]);
-        std::vector<rdf::TermId> cells;
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          const auto& keep = mjf->small_keep[i];
-          enc.StartFactor();
-          if (matches[i] == nullptr) {
-            cells.assign(keep.size(), rdf::kInvalidTermId);
-            enc.AddFactorRow(cells.data(), cells.size());
-          } else {
-            for (const auto& srow : *matches[i]) {
-              cells.clear();
-              for (int c : keep) {
-                cells.push_back(srow[static_cast<size_t>(c)]);
-              }
-              enc.AddFactorRow(cells.data(), cells.size());
-            }
-          }
-        }
-        ctx->Emit("", enc.Finish());
-        ctx->NoteFactorizedGroup(enc.flat_rows());
-      };
-
-      if (bp.spec == nullptr) {
-        std::vector<rdf::TermId> row = DecodeInputRow(input, r);
-        if (input.predicate && !input.predicate(row)) return;
-        if (fact_out) {
-          group_row(row);
-        } else {
-          fold_row(row);
-        }
-        return;
-      }
-      GroupView view;
-      if (!ParseGroup(r.value, bp.spec->factors.size(), &view)) return;
-      if (bp.stream || (!fact_out && bp.grouped())) {
-        // Stream-decompress the big side (predicate present, or the output
-        // must be flat anyway).
-        std::vector<rdf::TermId> row;
-        ForEachFlatRow(*bp.spec, view, &row,
-                       [&](const std::vector<rdf::TermId>& fr) {
-                         if (input.predicate && !input.predicate(fr)) return;
-                         if (fact_out) {
-                           group_row(fr);
-                         } else {
-                           fold_row(fr);
-                         }
-                       });
-        return;
-      }
-
-      // Grouped big side, factorized output: pass the group through,
-      // appending one matched factor per small side.
-      auto append_smalls = [&](GroupEncoder* enc, rdf::TermId key) {
-        std::vector<rdf::TermId> cells;
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big)) continue;
-          const auto& keep = mjf->small_keep[i];
-          auto it = (*hashes)[i].find(key);
-          bool empty = it == (*hashes)[i].end() || it->second.empty();
-          enc->StartFactor();
-          if (empty) {
-            cells.assign(keep.size(), rdf::kInvalidTermId);
-            enc->AddFactorRow(cells.data(), cells.size());
-          } else {
-            for (const auto& srow : it->second) {
-              cells.clear();
-              for (int c : keep) cells.push_back(srow[static_cast<size_t>(c)]);
-              enc->AddFactorRow(cells.data(), cells.size());
-            }
-          }
-        }
-      };
-      auto probe_all = [&](rdf::TermId key) {
-        for (size_t i = 0; i < ins->size(); ++i) {
-          if (i == static_cast<size_t>(big) || (*ins)[i].outer) continue;
-          auto it = (*hashes)[i].find(key);
-          if (it == (*hashes)[i].end() || it->second.empty()) return false;
-        }
-        return true;
-      };
-
-      GroupEncoder enc;
-      if (bp.join_factor < 0) {
-        rdf::TermId key = rdf::kInvalidTermId;
-        if (bp.join_slot >= 0) {
-          std::vector<rdf::TermId> base;
-          DecodeFactorRowInto(view.base, bp.spec->base_cols.size(), &base);
-          key = base[static_cast<size_t>(bp.join_slot)];
-        }
-        if (!probe_all(key)) return;
-        enc.Start();
-        enc.AddRawBase(view.base);
-        for (size_t g = 0; g < bp.spec->factors.size(); ++g) {
-          enc.AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
-        }
-        append_smalls(&enc, key);
-        ctx->Emit("", enc.Finish());
-        ctx->NoteFactorizedGroup(enc.flat_rows());
-        return;
-      }
-      // Join column inside a factor: bind one of its rows per emission.
-      const size_t j = static_cast<size_t>(bp.join_factor);
-      const auto& jcols = bp.spec->factors[j];
-      std::vector<rdf::TermId> cells;
-      for (size_t t = view.FactorBegin(j); t < view.factor_end[j]; ++t) {
-        DecodeFactorRowInto(view.rows[t], jcols.size(), &cells);
-        rdf::TermId key = cells[static_cast<size_t>(bp.join_slot)];
-        if (!probe_all(key)) continue;
-        enc.Start();
-        enc.AddRawBase(view.base);
-        for (rdf::TermId c : cells) enc.AddBaseCell(c);
-        for (size_t g = 0; g < bp.spec->factors.size(); ++g) {
-          if (g == j) continue;
-          enc.AddRawFactor(FactorSegment(view, g), view.FactorRows(g));
-        }
-        append_smalls(&enc, key);
-        ctx->Emit("", enc.Finish());
-        ctx->NoteFactorizedGroup(enc.flat_rows());
-      }
-    };
-  } else {
-    // ---- repartition path ----
-    std::shared_ptr<FactOutAssembly> asmbl;
-    if (factorize_output && post_predicate == nullptr && inputs.size() >= 2) {
-      asmbl = std::make_shared<FactOutAssembly>(
-          BuildFactOutput(inputs, *plans, out_pos, join_idx, width));
-      out_spec = asmbl->spec;
-    }
-
-    job.map = [ins, plans, join_idx](const mr::Record& r, int tag,
-                                     mr::MapContext* ctx) {
-      const JoinInput& input = (*ins)[static_cast<size_t>(tag)];
-      const FactInputPlan& p = (*plans)[static_cast<size_t>(tag)];
-      if (p.spec == nullptr) {
-        std::vector<rdf::TermId> row = DecodeInputRow(input, r);
-        if (input.predicate && !input.predicate(row)) return;
-        ctx->Emit(std::to_string(row[static_cast<size_t>(join_idx[tag])]),
-                  std::to_string(tag) + "|" + EncodeRow(row));
-        return;
-      }
-      GroupView view;
-      if (!ParseGroup(r.value, p.spec->factors.size(), &view)) return;
-      if (p.stream) {
-        std::vector<rdf::TermId> row;
-        ForEachFlatRow(
-            *p.spec, view, &row, [&](const std::vector<rdf::TermId>& fr) {
-              if (input.predicate && !input.predicate(fr)) return;
-              ctx->Emit(
-                  std::to_string(fr[static_cast<size_t>(join_idx[tag])]),
-                  std::to_string(tag) + "|" + EncodeRow(fr));
-            });
-        return;
-      }
-      if (p.join_factor < 0) {
-        // Join column in the base (or uncovered: NULL): ship the whole
-        // group through the shuffle untouched.
-        rdf::TermId key = rdf::kInvalidTermId;
-        if (p.join_slot >= 0) {
-          std::vector<rdf::TermId> base;
-          DecodeFactorRowInto(view.base, p.spec->base_cols.size(), &base);
-          key = base[static_cast<size_t>(p.join_slot)];
-        }
-        std::string val = std::to_string(tag) + "#";
-        val.append(r.value.data(), r.value.size());
-        ctx->Emit(std::to_string(key), val);
-        return;
-      }
-      // Partial decompression: consume the join factor into the partial
-      // base, one emission per join-factor row; every other factor stays
-      // compressed across the shuffle.
-      const size_t j = static_cast<size_t>(p.join_factor);
-      const auto& jcols = p.spec->factors[j];
-      std::vector<rdf::TermId> cells;
-      for (size_t t = view.FactorBegin(j); t < view.factor_end[j]; ++t) {
-        DecodeFactorRowInto(view.rows[t], jcols.size(), &cells);
-        std::string val = std::to_string(tag) + "#";
-        val.append(view.base.data(), view.base.size());
-        if (!p.spec->base_cols.empty()) val += ',';
-        AppendRow(&val, cells);
-        for (size_t g = 0; g < p.spec->factors.size(); ++g) {
-          if (g == j) continue;
-          val += '|';
-          std::string_view seg = FactorSegment(view, g);
-          val.append(seg.data(), seg.size());
-        }
-        ctx->Emit(std::to_string(cells[static_cast<size_t>(p.join_slot)]),
-                  val);
-      }
-    };
-
-    if (out_spec != nullptr) {
-      // Factorized output: cross the sides' partial groups per key; flat
-      // sides contribute one shared factor each.
-      job.reduce = [ins, plans, asmbl](std::string_view key,
-                                       const mr::ValueSpan& values,
-                                       mr::ReduceContext* ctx) {
-        const size_t n = ins->size();
-        std::vector<std::vector<std::vector<rdf::TermId>>> rows(n);
-        std::vector<std::vector<FactEntry>> entries(n);
-        GroupView gv;
-        for (std::string_view v : values) {
-          size_t bar = v.find_first_of("|#");
-          if (bar == std::string_view::npos || bar + 1 >= v.size()) continue;
-          int64_t tag = 0;
-          ParseInt64(v.substr(0, bar), &tag);
-          const char kind = v[bar] == '|' ? 'F' : 'G';
-          std::string_view payload = v.substr(bar + 1);
-          if (kind == 'F') {
-            rows[static_cast<size_t>(tag)].push_back(DecodeRow(payload));
-            continue;
-          }
-          const Factorization& partial =
-              *(*plans)[static_cast<size_t>(tag)].partial;
-          if (!ParseGroup(payload, partial.factors.size(), &gv)) continue;
-          FactEntry e;
-          DecodeFactorRowInto(gv.base, partial.base_cols.size(), &e.base);
-          for (size_t g = 0; g < partial.factors.size(); ++g) {
-            e.fsegs.emplace_back(FactorSegment(gv, g));
-            e.frows.push_back(gv.FactorRows(g));
-          }
-          entries[static_cast<size_t>(tag)].push_back(std::move(e));
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const bool grouped = (*plans)[i].grouped();
-          const bool present = grouped ? !entries[i].empty() : !rows[i].empty();
-          if (present) continue;
-          if (i == 0 || !(*ins)[i].outer) return;  // inner miss
-          if (grouped) {
-            entries[i].push_back(NullEntry(*(*plans)[i].partial));
-          } else {
-            rows[i].emplace_back((*ins)[i].columns.size(),
-                                 rdf::kInvalidTermId);
-          }
-        }
-        int64_t kv = 0;
-        ParseDigits(key, &kv);
-        // Flat sides' factor segments are shared by every emitted group.
-        std::vector<std::string> flat_seg(n);
-        std::vector<uint64_t> flat_count(n);
-        for (size_t i = 0; i < n; ++i) {
-          if ((*plans)[i].grouped()) continue;
-          const auto& keep = asmbl->flat_cols[i];
-          std::string& seg = flat_seg[i];
-          for (const auto& row : rows[i]) {
-            if (flat_count[i] > 0) seg += ';';
-            ++flat_count[i];
-            bool first = true;
-            for (int c : keep) {
-              if (!first) seg += ',';
-              first = false;
-              mr::kernels::AppendDecimal(&seg, row[static_cast<size_t>(c)]);
-            }
-          }
-        }
-        std::vector<size_t> gsides;
-        for (size_t i = 0; i < n; ++i) {
-          if ((*plans)[i].grouped()) gsides.push_back(i);
-        }
-        std::vector<size_t> idx(gsides.size(), 0);
-        GroupEncoder enc;
-        for (;;) {
-          enc.Start();
-          enc.AddBaseCell(static_cast<rdf::TermId>(kv));
-          for (size_t gi = 0; gi < gsides.size(); ++gi) {
-            const FactEntry& e = entries[gsides[gi]][idx[gi]];
-            for (int slot : asmbl->base_keep[gsides[gi]]) {
-              enc.AddBaseCell(e.base[static_cast<size_t>(slot)]);
-            }
-          }
-          for (size_t i = 0, gi = 0; i < n; ++i) {
-            if ((*plans)[i].grouped()) {
-              const FactEntry& e = entries[i][idx[gi]];
-              for (size_t g = 0; g < e.fsegs.size(); ++g) {
-                enc.AddRawFactor(e.fsegs[g], e.frows[g]);
-              }
-              ++gi;
-            } else {
-              enc.AddRawFactor(flat_seg[i], flat_count[i]);
-            }
-          }
-          ctx->Emit("", enc.Finish());
-          ctx->NoteFactorizedGroup(enc.flat_rows());
-          size_t g = gsides.size();
-          for (;;) {
-            if (g == 0) return;
-            --g;
-            if (++idx[g] < entries[gsides[g]].size()) break;
-            idx[g] = 0;
-          }
-        }
-      };
-    } else {
-      // Flat output: decompress every side, then the standard fold.
-      const size_t w = width;
-      job.reduce = [ins, plans, out_pos, w, post_predicate](
-                       std::string_view /*key*/, const mr::ValueSpan& values,
-                       mr::ReduceContext* ctx) {
-        std::vector<std::vector<std::vector<rdf::TermId>>> sides(ins->size());
-        GroupView gv;
-        std::vector<rdf::TermId> scratch;
-        for (std::string_view v : values) {
-          size_t bar = v.find_first_of("|#");
-          if (bar == std::string_view::npos || bar + 1 >= v.size()) continue;
-          int64_t tag = 0;
-          ParseInt64(v.substr(0, bar), &tag);
-          const char kind = v[bar] == '|' ? 'F' : 'G';
-          std::string_view payload = v.substr(bar + 1);
-          auto& side = sides[static_cast<size_t>(tag)];
-          if (kind == 'F') {
-            side.push_back(DecodeRow(payload));
-            continue;
-          }
-          const Factorization& partial =
-              *(*plans)[static_cast<size_t>(tag)].partial;
-          if (!ParseGroup(payload, partial.factors.size(), &gv)) continue;
-          ForEachFlatRow(partial, gv, &scratch,
-                         [&side](const std::vector<rdf::TermId>& fr) {
-                           side.push_back(fr);
-                         });
-        }
-        if (sides[0].empty()) return;
-        std::vector<std::vector<rdf::TermId>> results;
-        for (const auto& row : sides[0]) {
-          std::vector<rdf::TermId> base(w, rdf::kInvalidTermId);
-          for (size_t c = 0; c < row.size(); ++c) {
-            base[static_cast<size_t>(out_pos[0][c])] = row[c];
-          }
-          results.push_back(std::move(base));
-        }
-        for (size_t i = 1; i < ins->size(); ++i) {
-          if (sides[i].empty()) {
-            if (!(*ins)[i].outer) return;
-            continue;
-          }
-          std::vector<std::vector<rdf::TermId>> next;
-          for (const auto& partial : results) {
-            for (const auto& srow : sides[i]) {
-              std::vector<rdf::TermId> merged = partial;
-              for (size_t c = 0; c < srow.size(); ++c) {
-                merged[static_cast<size_t>(out_pos[i][c])] = srow[c];
-              }
-              next.push_back(std::move(merged));
-            }
-          }
-          results = std::move(next);
-        }
-        for (const auto& merged : results) {
-          if (post_predicate && !post_predicate(merged)) continue;
-          ctx->Emit("", EncodeRow(merged));
-        }
-      };
-    }
-    job.reduce_parallel_safe = true;
-  }
-
-  RAPIDA_ASSIGN_OR_RETURN(mr::JobStats ignored, cluster_->Run(job));
-  (void)ignored;
-  if (out_spec != nullptr) {
-    out.factor = out_spec;
+  if (j->out_spec != nullptr) {
+    out.factor = j->out_spec;
     RAPIDA_ASSIGN_OR_RETURN(out.flat_bytes, FlatStoredBytes(out));
   }
   return out;
@@ -1247,55 +1043,83 @@ StatusOr<TableRef> RelationalOps::UnionAll(
   for (const TableRef& t : inputs) job.inputs.push_back(t.file);
   job.output = out.file;
 
-  bool any_factorized = false;
-  for (const TableRef& t : inputs) any_factorized |= t.factorized();
-
-  if (any_factorized) {
-    // Stream-decompress factorized branches: UNION output must be flat
-    // (branch layouts differ) and rows enumerate in exact flat order.
-    auto factors = std::make_shared<std::vector<FactorizationPtr>>();
-    for (const TableRef& t : inputs) factors->push_back(t.factor);
-    job.map = [factors, out_pos, width](const mr::Record& r, int tag,
-                                        mr::MapContext* ctx) {
-      const std::vector<int>& pos = out_pos[static_cast<size_t>(tag)];
-      std::vector<rdf::TermId> padded(width, rdf::kInvalidTermId);
-      auto emit = [&](const std::vector<rdf::TermId>& row) {
-        padded.assign(width, rdf::kInvalidTermId);
-        for (size_t c = 0; c < row.size() && c < pos.size(); ++c) {
-          padded[static_cast<size_t>(pos[c])] = row[c];
-        }
-        ctx->Emit("", EncodeRow(padded));
-      };
-      const FactorizationPtr& spec = (*factors)[static_cast<size_t>(tag)];
-      if (spec == nullptr) {
-        emit(DecodeRow(r.value));
-        return;
-      }
-      GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
-      std::vector<rdf::TermId> row;
-      ForEachFlatRow(*spec, view, &row, emit);
-    };
-  } else {
-    job.map = [out_pos, width](const mr::Record& r, int tag,
-                               mr::MapContext* ctx) {
-      RowScratch* s = ctx->TaskState<RowScratch>();
-      DecodeRowInto(r.value, &s->row);
-      const std::vector<int>& pos = out_pos[tag];
-      s->cur.assign(width, rdf::kInvalidTermId);
-      for (size_t c = 0; c < s->row.size() && c < pos.size(); ++c) {
-        s->cur[pos[c]] = s->row[c];
-      }
-      s->val_buf.clear();
-      AppendRow(&s->val_buf, s->cur);
-      ctx->Emit("", s->val_buf);
-    };
-  }
+  // Factorized branches are stream-decompressed: UNION output must be flat
+  // (branch layouts differ) and rows enumerate in exact flat order.
+  auto factors = std::make_shared<std::vector<FactorizationPtr>>();
+  for (const TableRef& t : inputs) factors->push_back(t.factor);
+  job.map = [factors, out_pos, width](const mr::Record& r, int tag,
+                                      mr::MapContext* ctx) {
+    RowScratch* s = ctx->TaskState<RowScratch>();
+    const std::vector<int>& pos = out_pos[static_cast<size_t>(tag)];
+    ForEachRecordRow((*factors)[static_cast<size_t>(tag)].get(), r.value, s,
+                     [&](const std::vector<rdf::TermId>& row) {
+                       s->cur.assign(width, rdf::kInvalidTermId);
+                       for (size_t c = 0; c < row.size() && c < pos.size();
+                            ++c) {
+                         s->cur[static_cast<size_t>(pos[c])] = row[c];
+                       }
+                       s->val_buf.clear();
+                       AppendRow(&s->val_buf, s->cur);
+                       ctx->Emit("", s->val_buf);
+                     });
+  };
 
   RAPIDA_ASSIGN_OR_RETURN(mr::JobStats stats, cluster_->Run(job));
   (void)stats;
   return out;
 }
+
+namespace {
+
+std::vector<Aggregator> MakeAggregators(
+    const std::vector<RelationalOps::AggColumn>& specs) {
+  std::vector<Aggregator> aggs;
+  aggs.reserve(specs.size());
+  for (const RelationalOps::AggColumn& a : specs) {
+    aggs.emplace_back(a.func, /*distinct=*/false, a.separator);
+  }
+  return aggs;
+}
+
+/// GroupBy map scratch. The partial-aggregation table is an insertion-
+/// ordered open-addressing index (HashIndex over the encoded group key)
+/// with the keys and aggregator rows in dense-id order; the weighted path
+/// adds each factor's decoded cells (row-major) and the odometer over the
+/// key-bearing factors.
+struct GroupMapScratch : RowScratch {
+  mr::kernels::HashIndex index;
+  std::vector<std::string> keys;
+  std::vector<std::vector<Aggregator>> agg_rows;
+  std::vector<std::vector<rdf::TermId>> factor_cells;
+  std::vector<size_t> idx;
+
+  /// The aggregator row of the group key in `key_buf`, created on first
+  /// sight.
+  std::vector<Aggregator>& Partial(
+      const std::vector<RelationalOps::AggColumn>& specs) {
+    auto [id, inserted] = index.FindOrInsert(
+        mr::HashKey(key_buf), static_cast<uint32_t>(keys.size()),
+        [this](uint32_t cand) { return keys[cand] == key_buf; });
+    if (inserted) {
+      keys.push_back(key_buf);
+      agg_rows.push_back(MakeAggregators(specs));
+    }
+    return agg_rows[id];
+  }
+};
+
+/// Static plan of the weighted GroupBy over a factorized input: where each
+/// column lives, and which factors carry a group key. Key-bearing factors
+/// are enumerated (their rows split a group across keys); the others only
+/// multiply.
+struct WeightedPlan {
+  FactorizationPtr spec;
+  std::vector<CellLoc> loc;
+  std::vector<size_t> efactors;  // key-bearing factors, in factor order
+  std::vector<int> digit;        // per factor: odometer digit, -1 = weight
+};
+
+}  // namespace
 
 StatusOr<TableRef> RelationalOps::GroupBy(
     const std::string& name_hint, const TableRef& input,
@@ -1337,29 +1161,8 @@ StatusOr<TableRef> RelationalOps::GroupBy(
   job.inputs = {input.file};
   job.output = out.file;
 
-  auto make_aggs = [agg_specs]() {
-    std::vector<Aggregator> out_aggs;
-    for (const AggColumn& a : *agg_specs) {
-      out_aggs.emplace_back(a.func, /*distinct=*/false, a.separator);
-    }
-    return out_aggs;
-  };
-
-  using PartialMap = std::map<std::string, std::vector<Aggregator>>;
-  auto flush_partials = [](mr::MapContext* ctx) {
-    PartialMap* partials = ctx->TaskState<PartialMap>();
-    for (auto& [key, agg_list] : *partials) {
-      std::string value = "P";
-      for (const Aggregator& a : agg_list) {
-        value += '|';
-        value += a.SerializePartial();
-      }
-      ctx->Emit(key, value);
-    }
-    partials->clear();
-  };
-
-  bool weighted_safe = options_.partial_aggregation;
+  const bool partial = options_.partial_aggregation;
+  bool weighted_safe = partial;
   for (const AggColumn& a : aggs) {
     // Float addition is grouping-sensitive: SUM/AVG pipelines must see the
     // same add order as the flat path, so they are never aggregated by
@@ -1374,196 +1177,148 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     // their flat rows — the multiplicity of every cell is a product of the
     // other factors' row counts. This is where the factorization factor
     // turns into saved work.
-    FactorizationPtr spec = input.factor;
-    auto loc = std::make_shared<std::vector<CellLoc>>(LocateCells(*spec));
-    auto is_e = std::make_shared<std::vector<bool>>(spec->factors.size(),
-                                                    false);
+    auto plan = std::make_shared<WeightedPlan>();
+    plan->spec = input.factor;
+    plan->loc = LocateCells(*input.factor);
+    plan->digit.assign(input.factor->factors.size(), -1);
     for (int k : key_idx) {
-      if ((*loc)[static_cast<size_t>(k)].kind == CellLoc::kFactor) {
-        (*is_e)[static_cast<size_t>((*loc)[static_cast<size_t>(k)].factor)] =
-            true;
-      }
+      const CellLoc& l = plan->loc[static_cast<size_t>(k)];
+      if (l.kind == CellLoc::kFactor) plan->digit[l.factor] = 0;
     }
-    job.map = [spec, loc, is_e, key_idx, agg_idx, dict, make_aggs](
+    for (size_t f = 0; f < plan->digit.size(); ++f) {
+      if (plan->digit[f] < 0) continue;
+      plan->digit[f] = static_cast<int>(plan->efactors.size());
+      plan->efactors.push_back(f);
+    }
+    job.map = [plan, key_idx, agg_idx, agg_specs, dict](
                   const mr::Record& r, int, mr::MapContext* ctx) {
-      GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
-      PartialMap* partials = ctx->TaskState<PartialMap>();
-      const size_t nf = spec->factors.size();
-      std::vector<rdf::TermId> base(static_cast<size_t>(spec->width),
-                                    rdf::kInvalidTermId);
-      DecodeCellsInto(view.base, spec->base_cols, &base);
-      // Decode every factor's rows; key-bearing factors are enumerated
-      // (their rows split the group across keys), the rest contribute
-      // multiplicity only.
-      std::vector<std::vector<std::vector<rdf::TermId>>> cells(nf);
-      std::vector<size_t> efactors;
+      const Factorization& spec = *plan->spec;
+      GroupMapScratch* s = ctx->TaskState<GroupMapScratch>();
+      if (!ParseGroup(r.value, spec.factors.size(), &s->flat.view)) return;
+      const GroupView& view = s->flat.view;
+      const size_t nf = spec.factors.size();
+      s->row.assign(static_cast<size_t>(spec.width), rdf::kInvalidTermId);
+      DecodeCellsInto(view.base, spec.base_cols, &s->row);
+      // Decode every factor's rows into its pool.
+      s->factor_cells.resize(nf);
       uint64_t mult = 1;
       for (size_t f = 0; f < nf; ++f) {
         const size_t rows = view.FactorRows(f);
         if (rows == 0) return;  // empty factor: zero flat rows
-        cells[f].resize(rows);
+        std::vector<rdf::TermId>& pool = s->factor_cells[f];
+        pool.clear();
         for (size_t t = 0; t < rows; ++t) {
           DecodeFactorRowInto(view.rows[view.FactorBegin(f) + t],
-                              spec->factors[f].size(), &cells[f][t]);
+                              spec.factors[f].size(), &s->cur);
+          pool.insert(pool.end(), s->cur.begin(), s->cur.end());
         }
-        if ((*is_e)[f]) {
-          efactors.push_back(f);
-        } else {
-          mult *= rows;
-        }
+        if (plan->digit[f] < 0) mult *= rows;
       }
-      std::vector<size_t> idx(efactors.size(), 0);
-      std::vector<rdf::TermId> key;
+      s->idx.assign(plan->efactors.size(), 0);
+      // A base cell, or the current odometer row's cell of a key factor.
       auto cell_at = [&](int pos) -> rdf::TermId {
-        const CellLoc& l = (*loc)[static_cast<size_t>(pos)];
+        const CellLoc& l = plan->loc[static_cast<size_t>(pos)];
         if (l.kind != CellLoc::kFactor) {
-          return base[static_cast<size_t>(pos)];  // base cell or NULL
+          return s->row[static_cast<size_t>(pos)];  // base cell or NULL
         }
         const size_t f = static_cast<size_t>(l.factor);
-        size_t which = 0;
-        while (efactors[which] != f) ++which;
-        return cells[f][idx[which]][static_cast<size_t>(l.slot)];
+        return s->factor_cells[f][s->idx[plan->digit[f]] *
+                                      spec.factors[f].size() +
+                                  static_cast<size_t>(l.slot)];
       };
       for (;;) {
-        key.clear();
-        for (int k : key_idx) key.push_back(cell_at(k));
-        auto [it, inserted] = partials->emplace(EncodeRow(key), make_aggs());
-        std::vector<Aggregator>& agg_list = it->second;
+        s->key_buf.clear();
+        for (size_t k = 0; k < key_idx.size(); ++k) {
+          if (k > 0) s->key_buf += ',';
+          mr::kernels::AppendDecimal(&s->key_buf, cell_at(key_idx[k]));
+        }
+        std::vector<Aggregator>& agg_list = s->Partial(*agg_specs);
         for (size_t a = 0; a < agg_idx.size(); ++a) {
           if (agg_idx[a] < 0) {
             agg_list[a].AddRowWeighted(mult);
             continue;
           }
-          const CellLoc& l = (*loc)[static_cast<size_t>(agg_idx[a])];
-          if (l.kind == CellLoc::kFactor &&
-              !(*is_e)[static_cast<size_t>(l.factor)]) {
+          const CellLoc& l = plan->loc[static_cast<size_t>(agg_idx[a])];
+          if (l.kind == CellLoc::kFactor && plan->digit[l.factor] < 0) {
             // Aggregated column varies within a multiplicity factor: each
             // of its rows appears in mult / rows-of-factor flat rows.
             const size_t f = static_cast<size_t>(l.factor);
-            const uint64_t w = mult / cells[f].size();
-            for (const auto& frow : cells[f]) {
-              agg_list[a].AddTermWeighted(frow[static_cast<size_t>(l.slot)],
-                                          *dict, w);
+            const size_t rows = view.FactorRows(f);
+            const size_t cols = spec.factors[f].size();
+            for (size_t t = 0; t < rows; ++t) {
+              agg_list[a].AddTermWeighted(
+                  s->factor_cells[f][t * cols + static_cast<size_t>(l.slot)],
+                  *dict, mult / rows);
             }
           } else {
             agg_list[a].AddTermWeighted(cell_at(agg_idx[a]), *dict, mult);
           }
         }
-        size_t e = efactors.size();
+        size_t e = plan->efactors.size();
         for (;;) {
           if (e == 0) return;
           --e;
-          if (++idx[e] < cells[efactors[e]].size()) break;
-          idx[e] = 0;
+          if (++s->idx[e] < view.FactorRows(plan->efactors[e])) break;
+          s->idx[e] = 0;
         }
       }
     };
-    job.map_finish = flush_partials;
-  } else if (input.factorized()) {
-    // Stream-decompress, then the flat behavior per flat row (raw
-    // mode, or an order-sensitive aggregate slipped through).
+  } else {
+    // Per flat row (a factorized input is stream-decompressed: raw mode,
+    // or an order-sensitive aggregate slipped through): with partial
+    // aggregation, map-side pre-aggregation into the scratch table (the
+    // relational analogue of Alg. 3's multiAggMap); otherwise one
+    // "R|args" record per row, aggregated reduce-side.
     FactorizationPtr spec = input.factor;
-    const bool partial = options_.partial_aggregation;
-    job.map = [spec, key_idx, agg_idx, dict, make_aggs, partial](
+    job.map = [spec, key_idx, agg_idx, agg_specs, dict, partial](
                   const mr::Record& r, int, mr::MapContext* ctx) {
-      GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
-      std::vector<rdf::TermId> row;
-      ForEachFlatRow(
-          *spec, view, &row, [&](const std::vector<rdf::TermId>& fr) {
-            std::vector<rdf::TermId> key;
-            for (int i : key_idx) key.push_back(fr[static_cast<size_t>(i)]);
+      GroupMapScratch* s = ctx->TaskState<GroupMapScratch>();
+      ForEachRecordRow(
+          spec.get(), r.value, s, [&](const std::vector<rdf::TermId>& row) {
+            s->key_buf.clear();
+            AppendProjection(&s->key_buf, row, key_idx);
             if (partial) {
-              PartialMap* partials = ctx->TaskState<PartialMap>();
-              auto [it, inserted] =
-                  partials->emplace(EncodeRow(key), make_aggs());
+              std::vector<Aggregator>& agg_list = s->Partial(*agg_specs);
               for (size_t a = 0; a < agg_idx.size(); ++a) {
                 if (agg_idx[a] < 0) {
-                  it->second[a].AddRow();
+                  agg_list[a].AddRow();
                 } else {
-                  it->second[a].AddTerm(fr[static_cast<size_t>(agg_idx[a])],
-                                        *dict);
+                  agg_list[a].AddTerm(row[static_cast<size_t>(agg_idx[a])],
+                                      *dict);
                 }
               }
               return;
             }
-            std::vector<rdf::TermId> args;
-            for (int i : agg_idx) {
-              args.push_back(i < 0 ? rdf::kInvalidTermId
-                                   : fr[static_cast<size_t>(i)]);
+            s->val_buf.assign("R|");
+            for (size_t a = 0; a < agg_idx.size(); ++a) {
+              if (a > 0) s->val_buf += ',';
+              mr::kernels::AppendDecimal(
+                  &s->val_buf, agg_idx[a] < 0
+                                   ? rdf::kInvalidTermId
+                                   : row[static_cast<size_t>(agg_idx[a])]);
             }
-            ctx->Emit(EncodeRow(key), "R|" + EncodeRow(args));
+            ctx->Emit(s->key_buf, s->val_buf);
           });
     };
-    if (options_.partial_aggregation) job.map_finish = flush_partials;
-  } else if (options_.partial_aggregation) {
-    // Map-side pre-aggregation (the relational analogue of Alg. 3's
-    // multiAggMap): an insertion-ordered open-addressing table (HashIndex
-    // over the encoded group key) in per-task state, so concurrent map
-    // tasks accumulate independently; map_finish (Map.clean()) flushes it
-    // in insertion order — group keys are unique within a task and the
-    // shuffle sorts by key, so flush order never reaches the output.
-    struct PartialAggScratch {
-      mr::kernels::HashIndex index;
-      std::vector<std::string> keys;
-      std::vector<std::vector<Aggregator>> agg_rows;
-      std::vector<rdf::TermId> row;
-      std::string key_buf;
-    };
-    job.map = [key_idx, agg_idx, dict, make_aggs](
-                  const mr::Record& r, int, mr::MapContext* ctx) {
-      PartialAggScratch* s = ctx->TaskState<PartialAggScratch>();
-      DecodeRowInto(r.value, &s->row);
-      s->key_buf.clear();
-      AppendProjection(&s->key_buf, s->row, key_idx);
-      auto [id, inserted] = s->index.FindOrInsert(
-          mr::HashKey(s->key_buf), static_cast<uint32_t>(s->keys.size()),
-          [s](uint32_t cand) { return s->keys[cand] == s->key_buf; });
-      if (inserted) {
-        s->keys.push_back(s->key_buf);
-        s->agg_rows.push_back(make_aggs());
-      }
-      std::vector<Aggregator>& agg_list = s->agg_rows[id];
-      for (size_t a = 0; a < agg_idx.size(); ++a) {
-        if (agg_idx[a] < 0) {
-          agg_list[a].AddRow();
-        } else {
-          agg_list[a].AddTerm(s->row[agg_idx[a]], *dict);
-        }
-      }
-    };
+  }
+  if (partial) {
+    // Map.clean(): flush the task's partial table in insertion order —
+    // group keys are unique within a task and the shuffle sorts by key, so
+    // flush order never reaches the output.
     job.map_finish = [](mr::MapContext* ctx) {
-      PartialAggScratch* s = ctx->TaskState<PartialAggScratch>();
+      GroupMapScratch* s = ctx->TaskState<GroupMapScratch>();
       for (size_t id = 0; id < s->keys.size(); ++id) {
-        std::string value = "P";
+        s->val_buf.assign("P");
         for (const Aggregator& a : s->agg_rows[id]) {
-          value += '|';
-          value += a.SerializePartial();
+          s->val_buf += '|';
+          s->val_buf += a.SerializePartial();
         }
-        ctx->Emit(s->keys[id], value);
+        ctx->Emit(s->keys[id], s->val_buf);
       }
-    };
-  } else {
-    // Raw mode: one "R|args" record per row, aggregated reduce-side.
-    job.map = [key_idx, agg_idx](const mr::Record& r, int,
-                                 mr::MapContext* ctx) {
-      RowScratch* s = ctx->TaskState<RowScratch>();
-      DecodeRowInto(r.value, &s->row);
-      s->key_buf.clear();
-      AppendProjection(&s->key_buf, s->row, key_idx);
-      s->val_buf.assign("R|");
-      for (size_t a = 0; a < agg_idx.size(); ++a) {
-        if (a > 0) s->val_buf += ',';
-        mr::kernels::AppendDecimal(
-            &s->val_buf,
-            agg_idx[a] < 0 ? rdf::kInvalidTermId : s->row[agg_idx[a]]);
-      }
-      ctx->Emit(s->key_buf, s->val_buf);
     };
   }
 
-  job.reduce = [agg_specs, dict, make_aggs, having](
+  job.reduce = [agg_specs, dict, having](
                    std::string_view key, const mr::ValueSpan& values,
                    mr::ReduceContext* ctx) {
     // Per-task scratch (args/out_row/val_buf) is reused across key groups;
@@ -1573,7 +1328,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
       std::string val_buf;
     };
     Scratch* s = ctx->TaskState<Scratch>();
-    std::vector<Aggregator> agg_list = make_aggs();
+    std::vector<Aggregator> agg_list = MakeAggregators(*agg_specs);
     for (std::string_view v : values) {
       if (v.empty()) continue;
       if (v[0] == 'P') {
@@ -1653,36 +1408,22 @@ StatusOr<TableRef> RelationalOps::DistinctProject(
   job.name = name_hint;
   job.inputs = {input.file};
   job.output = out.file;
-  if (input.factorized()) {
-    // Stream-decompress group records; the reduce-side dedup makes the
-    // enumeration order immaterial (DISTINCT is order-insensitive), which
-    // is exactly why the planner may factorize up to this sink.
-    FactorizationPtr spec = input.factor;
-    job.map = [spec, idx, keep_predicate](const mr::Record& r, int,
-                                          mr::MapContext* ctx) {
-      GroupView view;
-      if (!ParseGroup(r.value, spec->factors.size(), &view)) return;
-      std::vector<rdf::TermId> row;
-      std::string key;
-      ForEachFlatRow(*spec, view, &row,
-                     [&](const std::vector<rdf::TermId>& fr) {
-                       if (keep_predicate && !keep_predicate(fr)) return;
-                       key.clear();
-                       AppendProjection(&key, fr, idx);
-                       ctx->Emit(key, "");
+  // Factorized input: stream-decompress group records; the reduce-side
+  // dedup makes the enumeration order immaterial (DISTINCT is
+  // order-insensitive), which is exactly why the planner may factorize up
+  // to this sink.
+  FactorizationPtr spec = input.factor;
+  job.map = [spec, idx, keep_predicate](const mr::Record& r, int,
+                                        mr::MapContext* ctx) {
+    RowScratch* s = ctx->TaskState<RowScratch>();
+    ForEachRecordRow(spec.get(), r.value, s,
+                     [&](const std::vector<rdf::TermId>& row) {
+                       if (keep_predicate && !keep_predicate(row)) return;
+                       s->key_buf.clear();
+                       AppendProjection(&s->key_buf, row, idx);
+                       ctx->Emit(s->key_buf, "");
                      });
-    };
-  } else {
-    job.map = [idx, keep_predicate](const mr::Record& r, int,
-                                    mr::MapContext* ctx) {
-      RowScratch* s = ctx->TaskState<RowScratch>();
-      DecodeRowInto(r.value, &s->row);
-      if (keep_predicate && !keep_predicate(s->row)) return;
-      s->key_buf.clear();
-      AppendProjection(&s->key_buf, s->row, idx);
-      ctx->Emit(s->key_buf, "");
-    };
-  }
+  };
   // Combiner dedups map-side; reduce emits one row per distinct key.
   job.combine = [](std::string_view key, const mr::ValueSpan&,
                    mr::ReduceContext* ctx) { ctx->Emit(key, ""); };
@@ -1782,24 +1523,14 @@ StatusOr<analytics::BindingTable> RelationalOps::ReadTable(
   RAPIDA_ASSIGN_OR_RETURN(const mr::Dfs::File* f,
                           dataset_->dfs().Open(table.file));
   analytics::BindingTable out(table.columns);
-  if (table.factorized()) {
-    GroupView view;
-    std::vector<rdf::TermId> row;
-    for (const mr::Record& r : f->records) {
-      if (!ParseGroup(r.value, table.factor->factors.size(), &view)) continue;
-      ForEachFlatRow(*table.factor, view, &row,
-                     [&out, &table](const std::vector<rdf::TermId>& fr) {
-                       std::vector<rdf::TermId> flat = fr;
+  RowScratch s;
+  for (const mr::Record& r : f->records) {
+    ForEachRecordRow(table.factor.get(), r.value, &s,
+                     [&out, &table](const std::vector<rdf::TermId>& row) {
+                       std::vector<rdf::TermId> flat = row;
                        flat.resize(table.columns.size(), rdf::kInvalidTermId);
                        out.AddRow(std::move(flat));
                      });
-    }
-    return out;
-  }
-  for (const mr::Record& r : f->records) {
-    std::vector<rdf::TermId> row = DecodeRow(r.value);
-    row.resize(table.columns.size(), rdf::kInvalidTermId);
-    out.AddRow(std::move(row));
   }
   return out;
 }

@@ -180,16 +180,6 @@ class RelationalOps {
   StatusOr<uint64_t> FlatStoredBytes(const TableRef& table) const;
 
  private:
-  /// Join in fact mode: at least one factorized input, or a factorized
-  /// output requested. Receives the layout and strategy Join computed.
-  StatusOr<TableRef> FactJoin(const std::string& name_hint,
-                              const std::vector<JoinInput>& inputs,
-                              RowPredicate post_predicate,
-                              bool factorize_output, bool map_join, int big,
-                              const std::vector<std::string>& out_columns,
-                              const std::vector<std::vector<int>>& out_pos,
-                              const std::vector<int>& join_idx);
-
   mr::Cluster* cluster_;
   Dataset* dataset_;
   EngineOptions options_;

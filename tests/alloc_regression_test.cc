@@ -1,7 +1,8 @@
 // Allocation regression gate for the MapReduce hot path: a representative
 // shuffle+reduce job, a join-shaped job, a sharded relational join +
-// grouped aggregation, and an NTGA α-join cycle must each stay far below
-// one heap allocation per record.
+// grouped aggregation, a factorized star join + weighted aggregation +
+// DISTINCT chain, and an NTGA α-join cycle must each stay below one heap
+// allocation per record.
 // The columnar-store record representation makes the emit/shuffle/sort/
 // reduce loops allocation-free per record (buffer growth, task vectors and
 // thread bookkeeping amortize away), so the whole job costs O(tasks + keys)
@@ -260,6 +261,97 @@ TEST(AllocRegressionTest, ShardedJoinThenGroupByStaysUnderPerRowBudget) {
          "allocation ("
       << allocations << " allocations for " << kInputRows << " input rows)";
   ops.Cleanup();
+}
+
+// Same gate for the factorized (d-representation) operators: a star join
+// over three multi-valued VP inputs (one of them OUTER) that emits group
+// records, a COUNT GroupBy keyed inside a factor (aggregated by weight,
+// without enumerating the groups' flat rows), then a DISTINCT projection
+// that stream-decompresses the groups. Run with repartition joins and with
+// map-joins: the broadcast tables, decode rows, factor pools, group
+// encoders and the partial-aggregation table all live in task scratch, so
+// the chain costs O(tasks + distinct keys) allocations, not O(rows).
+TEST(AllocRegressionTest, FactorizedStarGroupByDistinctStaysUnderPerRowBudget) {
+  constexpr int kSubjects = 4000;
+  constexpr int kGroups = 100;  // distinct values of the grouping column
+
+  engine::Dataset dataset{rdf::Graph()};
+  rdf::Dictionary& dict = dataset.dict();
+  RecordBatch a, b, c;
+  size_t input_rows = 0;
+  for (int i = 0; i < kSubjects; ++i) {
+    const std::string s = std::to_string(dict.InternInt(i));
+    for (int k = 0; k <= i % 3; ++k, ++input_rows) {  // 1-3 objects
+      a.Add(s, std::to_string(dict.InternInt(1000000 + 3 * i + k)));
+    }
+    if (i % 7 != 0) {  // 2 objects; every 7th subject misses (inner)
+      for (int k = 0; k < 2; ++k, ++input_rows) {
+        b.Add(s, std::to_string(
+                     dict.InternInt(2000000 + (2 * i + k) % kGroups)));
+      }
+    }
+    if (i % 5 != 0) {  // every 5th subject misses (outer: NULL pad)
+      c.Add(s, std::to_string(dict.InternInt(3000000 + i)));
+      ++input_rows;
+    }
+  }
+  ASSERT_TRUE(dataset.dfs().Write("vp:a", std::move(a)).ok());
+  ASSERT_TRUE(dataset.dfs().Write("vp:b", std::move(b)).ok());
+  ASSERT_TRUE(dataset.dfs().Write("vp:c", std::move(c)).ok());
+  auto vp_input = [](const std::string& file, const std::string& obj,
+                     bool outer) {
+    engine::JoinInput in;
+    in.file = file;
+    in.columns = {"s", obj};
+    in.is_vp = true;
+    in.join_column = "s";
+    in.outer = outer;
+    return in;
+  };
+
+  for (bool map_joins : {false, true}) {
+    Cluster cluster(ClusterConfig{}, &dataset.dfs());
+    engine::EngineOptions options;
+    options.enable_map_joins = map_joins;
+    options.map_join_threshold_bytes = 1 << 30;
+    engine::RelationalOps ops(&cluster, &dataset, options,
+                              map_joins ? "alloc-fact-mj" : "alloc-fact");
+    engine::RelationalOps::AggColumn count;
+    count.count_star = true;
+    count.output_name = "n";
+
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_seq_cst);
+    auto star = ops.Join("star",
+                         {vp_input("vp:a", "x", false),
+                          vp_input("vp:b", "y", false),
+                          vp_input("vp:c", "z", true)},
+                         nullptr, /*factorize_output=*/true);
+    StatusOr<engine::TableRef> grouped =
+        star.ok() ? ops.GroupBy("by_y", *star, {"y"}, {count}, nullptr)
+                  : star.status();
+    StatusOr<engine::TableRef> distinct =
+        star.ok() ? ops.DistinctProject("dp", *star, {"s", "y"}, nullptr)
+                  : star.status();
+    g_counting.store(false, std::memory_order_seq_cst);
+    ASSERT_TRUE(grouped.ok()) << grouped.status();
+    ASSERT_TRUE(distinct.ok()) << distinct.status();
+    ASSERT_TRUE(star->factorized());
+    ASSERT_EQ(cluster.history().size(), 3u);
+    EXPECT_EQ(cluster.history()[0].name.find("(map-join)") !=
+                  std::string::npos,
+              map_joins);
+    EXPECT_GT(cluster.history()[0].factorized_groups, 0u);
+    EXPECT_EQ(cluster.history()[1].output_records,
+              static_cast<uint64_t>(kGroups));
+
+    size_t allocations = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_LT(allocations, input_rows)
+        << "factorized operators regressed to per-row heap allocation ("
+        << allocations << " allocations for " << input_rows
+        << " input rows, map_joins=" << map_joins << ")";
+    ops.Cleanup();
+  }
 }
 
 // Same gate for the NTGA data plane: one TG_AlphaJoin cycle (Alg. 2) of

@@ -2,10 +2,16 @@
 // weighted aggregator, and the byte-identity matrix — every factorized
 // pipeline must produce exactly the flat path's rows across exec_threads
 // x map-join x partial-aggregation combinations,
-// while materializing and shuffling fewer bytes on multi-valued data.
+// while materializing and shuffling fewer bytes on multi-valued data — and
+// the golden that pins the factorized pipeline's exact output bytes and
+// counters across map-join x partial x threads x shards.
 #include "engines/factorized.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,7 +63,7 @@ TEST(FactorizedCodec, EncodeParseEnumerate) {
   EXPECT_EQ(view.FlatRows(), 6u);
 
   Rows flat;
-  Row scratch;
+  FlatScratch scratch;
   ForEachFlatRow(spec, view, &scratch,
                  [&flat](const Row& r) { flat.push_back(r); });
   // Factor 0 outermost, factor 1 innermost: canonical flat order.
@@ -91,7 +97,7 @@ TEST(FactorizedCodec, ZeroColumnFactorIsPureMultiplicity) {
   GroupView view;
   ASSERT_TRUE(ParseGroup(value, 1, &view));
   Rows flat;
-  Row scratch;
+  FlatScratch scratch;
   ForEachFlatRow(spec, view, &scratch,
                  [&flat](const Row& r) { flat.push_back(r); });
   EXPECT_EQ(flat, (Rows{{5}, {5}, {5}}));
@@ -112,7 +118,7 @@ TEST(FactorizedCodec, UncoveredPositionsReadNull) {
   GroupView view;
   ASSERT_TRUE(ParseGroup(enc.Finish(), 1, &view));
   Rows flat;
-  Row scratch;
+  FlatScratch scratch;
   ForEachFlatRow(spec, view, &scratch,
                  [&flat](const Row& rr) { flat.push_back(rr); });
   EXPECT_EQ(flat, (Rows{{4, rdf::kInvalidTermId, 9}}));
@@ -222,6 +228,9 @@ class FactorizeTest : public ::testing::Test {
     uint64_t link_shuffle = 0;  // shuffle bytes of the inter-star join
     uint64_t groups = 0;        // factorized groups across the pipeline
     uint64_t flat_rows = 0;
+    /// Per job, in run order: its counters and its output file's name.
+    std::vector<mr::JobStats> jobs;
+    std::vector<std::string> outputs;
   };
 
   Rows SortedRows(RelationalOps* ops, const TableRef& t) {
@@ -235,12 +244,15 @@ class FactorizeTest : public ::testing::Test {
   /// Star join -> inter-star join on the multi-valued x -> GroupBy (key in
   /// base, then key in a factor) -> DISTINCT projection.
   PipelineResult RunPipeline(int exec_threads, bool factorize, bool map_joins,
-                             bool partial_agg, const std::string& ns) {
+                             bool partial_agg, const std::string& ns,
+                             int shards = 1) {
     mr::ClusterConfig cfg;
     cfg.exec_threads = exec_threads;
     cfg.exec_split_bytes = 64;  // several map tasks even on tiny files
+    cfg.num_shards = shards;
     mr::Cluster cluster(cfg, &dataset_.dfs());
     EngineOptions opt;
+    opt.num_shards = shards;
     opt.enable_map_joins = map_joins;
     opt.map_join_threshold_bytes = 1 << 20;
     opt.partial_aggregation = partial_agg;
@@ -300,7 +312,30 @@ class FactorizeTest : public ::testing::Test {
       out.groups += j.factorized_groups;
       out.flat_rows += j.factorized_flat_rows;
     }
+    out.jobs = cluster.history();
+    out.outputs = {star->file, linked->file, by_s->file, by_y->file, dp->file};
     return out;
+  }
+
+  /// FNV-1a (64-bit) over a file's records in file order: key '\t' value
+  /// '\n' per record, so a reordered emission changes the hash.
+  uint64_t FileFnv(const std::string& file) {
+    auto f = dataset_.dfs().Open(file);
+    EXPECT_TRUE(f.ok()) << f.status();
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::string_view bytes) {
+      for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+      }
+    };
+    for (const mr::Record& r : (*f)->records) {
+      mix(r.key);
+      mix("\t");
+      mix(r.value);
+      mix("\n");
+    }
+    return h;
   }
 
   Dataset dataset_;
@@ -339,6 +374,60 @@ TEST_F(FactorizeTest, ByteIdentityMatrix) {
       }
     }
   }
+}
+
+// Pins the factorized pipeline's exact bytes, not just its sorted rows:
+// per job, the output records, a hash of the output file's key/value bytes
+// in file order, every byte counter and the factorization counters.
+// Regenerate with RAPIDA_UPDATE_GOLDEN=1 ./build/tests/factorize_test.
+TEST_F(FactorizeTest, PipelineBytesMatchGolden) {
+  std::ostringstream got;
+  int run = 0;
+  for (bool map_joins : {false, true}) {
+    for (bool partial : {false, true}) {
+      for (int threads : {1, 8}) {
+        for (int shards : {1, 4}) {
+          PipelineResult r = RunPipeline(threads, true, map_joins, partial,
+                                         "g" + std::to_string(run++), shards);
+          ASSERT_EQ(r.jobs.size(), r.outputs.size());
+          for (size_t j = 0; j < r.jobs.size(); ++j) {
+            const mr::JobStats& s = r.jobs[j];
+            char hash[17];
+            std::snprintf(hash, sizeof(hash), "%016llx",
+                          static_cast<unsigned long long>(
+                              FileFnv(r.outputs[j])));
+            got << "mapjoin=" << map_joins << " partial=" << partial
+                << " threads=" << threads << " shards=" << shards << " | "
+                << s.name << " | records=" << s.output_records
+                << " fnv=" << hash << " map_out=" << s.map_output_bytes
+                << " shuffle=" << s.shuffle_bytes
+                << " local=" << s.shuffle_local_bytes
+                << " cross=" << s.shuffle_cross_bytes
+                << " output=" << s.output_bytes
+                << " groups=" << s.factorized_groups
+                << " flat_rows=" << s.factorized_flat_rows << "\n";
+          }
+        }
+      }
+    }
+  }
+  const std::string path =
+      std::string(RAPIDA_GOLDEN_DIR) + "/factorized_pipeline.golden";
+  const char* update = std::getenv("RAPIDA_UPDATE_GOLDEN");
+  if (update != nullptr && *update != '\0' && std::string(update) != "0") {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got.str();
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing fixture " << path
+                         << " — run RAPIDA_UPDATE_GOLDEN=1 "
+                            "./build/tests/factorize_test";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(want.str(), got.str())
+      << "factorized pipeline bytes drifted from " << path;
 }
 
 TEST_F(FactorizeTest, StarJoinDecompressesInExactFlatOrder) {
