@@ -179,7 +179,7 @@ BenchResult BenchBatchAggregate(size_t rows, int repeat) {
       scalar_flush += key;
       for (const Aggregator& a : aggs) {
         scalar_flush += '|';
-        scalar_flush += a.SerializePartial();
+        a.AppendPartial(&scalar_flush);
       }
       scalar_flush += '\n';
     }
@@ -215,7 +215,7 @@ BenchResult BenchBatchAggregate(size_t rows, int repeat) {
       batch_flush += keys[id];
       for (const Aggregator& a : agg_rows[id]) {
         batch_flush += '|';
-        batch_flush += a.SerializePartial();
+        a.AppendPartial(&batch_flush);
       }
       batch_flush += '\n';
     }

@@ -22,7 +22,8 @@
 # the kernel thread-count identity matrix in kernels_test, the engines on
 # top of it, the factorized operators' task scratch in factorize_test,
 # the sharded data plane in shard_test — stressed across
-# shards {1,2,4} x threads {1,8} — and the 32-session service stress).
+# shards {1,2,4} x threads {1,8} — the lock-free dictionary reads in
+# rdf_test, and the 32-session service stress).
 # The sharded data plane adds its own gates: a sharded pass over the fuzz
 # corpus (every engine at 4 shards, both placement schemes, cross-checked
 # against the unsharded baseline), a sharded serve smoke, and a perf
@@ -157,7 +158,7 @@ echo "== AddressSanitizer fuzz smoke (RAPIDA_SANITIZE=address) =="
 cmake -B build-asan -S . -DRAPIDA_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-asan -j "$JOBS" --target rapida_fuzz explain_golden_test \
-      storage_test rapida_serve factorize_test
+      storage_test rapida_serve factorize_test rdf_test
 ./build-asan/examples/rapida_fuzz --seeds=50
 echo "== ASan: OPTIONAL/UNION-biased fuzz (100 seeds) =="
 ./build-asan/examples/rapida_fuzz --grammar=opt-union --seeds=100
@@ -165,6 +166,8 @@ echo "== ASan: multi-valued-star fuzz (50 seeds) =="
 ./build-asan/examples/rapida_fuzz --grammar=multival --seeds=50
 echo "== ASan: factorize_test (factor segment views, scratch reuse) =="
 ./build-asan/tests/factorize_test
+echo "== ASan: rdf_test (dictionary segments, moves, concurrent reads) =="
+./build-asan/tests/rdf_test
 echo "== ASan: EXPLAIN goldens =="
 ./build-asan/tests/explain_golden_test
 
@@ -195,7 +198,7 @@ cmake -B build-tsan -S . -DRAPIDA_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
       thread_pool_test mapreduce_test kernels_test engines_test \
-      factorize_test shard_test service_stress_test bench_factorize
+      factorize_test shard_test rdf_test service_stress_test bench_factorize
 
 echo "== TSan: thread_pool_test =="
 ./build-tsan/tests/thread_pool_test
@@ -209,6 +212,8 @@ echo "== TSan: factorize_test (factorized operators at 8 threads) =="
 ./build-tsan/tests/factorize_test
 echo "== TSan: shard_test (channel stress + shards {1,2,4} x threads {1,8}) =="
 ./build-tsan/tests/shard_test
+echo "== TSan: rdf_test (lock-free Get/AsNumber beside a concurrent Intern) =="
+./build-tsan/tests/rdf_test
 echo "== TSan: service_stress_test (32 sessions + concurrent mutations) =="
 ./build-tsan/tests/service_stress_test
 

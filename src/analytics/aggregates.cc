@@ -1,6 +1,7 @@
 #include "analytics/aggregates.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "analytics/value.h"
@@ -9,24 +10,6 @@
 namespace rapida::analytics {
 
 using sparql::AggFunc;
-
-namespace {
-
-/// CompareTerms(dict, a, b) given AsNumber(a) and AsNumber(b): two numbers
-/// compare without touching the dictionary again.
-int CompareWithNums(const rdf::Dictionary& dict, rdf::TermId a,
-                    const std::optional<double>& na, rdf::TermId b,
-                    const std::optional<double>& nb) {
-  if (a == b) return 0;
-  if (na.has_value() && nb.has_value()) {
-    if (*na < *nb) return -1;
-    if (*na > *nb) return 1;
-    return 0;
-  }
-  return CompareTerms(dict, a, b);
-}
-
-}  // namespace
 
 void Aggregator::CacheMinMaxNums(const rdf::Dictionary& dict) {
   if (minmax_nums_known_) return;
@@ -52,11 +35,11 @@ void Aggregator::AddTerm(rdf::TermId value, const rdf::Dictionary& dict) {
     minmax_nums_known_ = true;
   } else {
     CacheMinMaxNums(dict);
-    if (CompareWithNums(dict, value, num, min_term_, min_num_) < 0) {
+    if (CompareTermsWithNums(dict, value, num, min_term_, min_num_) < 0) {
       min_term_ = value;
       min_num_ = num;
     }
-    if (CompareWithNums(dict, value, num, max_term_, max_num_) > 0) {
+    if (CompareTermsWithNums(dict, value, num, max_term_, max_num_) > 0) {
       max_term_ = value;
       max_num_ = num;
     }
@@ -103,13 +86,13 @@ void Aggregator::Merge(const Aggregator& other, const rdf::Dictionary& dict) {
       const std::optional<double> other_max =
           other.minmax_nums_known_ ? other.max_num_
                                    : dict.AsNumber(other.max_term_);
-      if (CompareWithNums(dict, other.min_term_, other_min, min_term_,
-                          min_num_) < 0) {
+      if (CompareTermsWithNums(dict, other.min_term_, other_min, min_term_,
+                               min_num_) < 0) {
         min_term_ = other.min_term_;
         min_num_ = other_min;
       }
-      if (CompareWithNums(dict, other.max_term_, other_max, max_term_,
-                          max_num_) > 0) {
+      if (CompareTermsWithNums(dict, other.max_term_, other_max, max_term_,
+                               max_num_) > 0) {
         max_term_ = other.max_term_;
         max_num_ = other_max;
       }
@@ -153,23 +136,43 @@ rdf::TermId Aggregator::Finalize(rdf::Dictionary* dict) const {
   return rdf::kInvalidTermId;
 }
 
-std::string Aggregator::SerializePartial() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%llu,%.17g,%d,%u,%u,%u",
-                static_cast<unsigned long long>(count_), sum_,
-                has_minmax_ ? 1 : 0, min_term_, max_term_, sample_);
-  std::string out = buf;
-  out += ',';
-  for (size_t i = 0; i < concat_values_.size(); ++i) {
-    if (i > 0) out += ':';
-    out += std::to_string(concat_values_[i]);
-  }
-  return out;
+void Aggregator::Reset() {
+  count_ = 0;
+  sum_ = 0;
+  has_minmax_ = false;
+  min_term_ = rdf::kInvalidTermId;
+  max_term_ = rdf::kInvalidTermId;
+  min_num_.reset();
+  max_num_.reset();
+  minmax_nums_known_ = false;
+  sample_ = rdf::kInvalidTermId;
+  concat_values_.clear();
+  seen_.clear();
 }
 
-StatusOr<Aggregator> Aggregator::DeserializePartial(AggFunc func,
-                                                    std::string_view data,
-                                                    std::string separator) {
+void Aggregator::AppendPartial(std::string* out) const {
+  char buf[160];
+  const int n = std::snprintf(buf, sizeof(buf), "%llu,%.17g,%d,%u,%u,%u,",
+                              static_cast<unsigned long long>(count_), sum_,
+                              has_minmax_ ? 1 : 0, min_term_, max_term_,
+                              sample_);
+  out->append(buf, static_cast<size_t>(n));
+  for (size_t i = 0; i < concat_values_.size(); ++i) {
+    if (i > 0) out->push_back(':');
+    const auto r = std::to_chars(buf, buf + sizeof(buf), concat_values_[i]);
+    out->append(buf, r.ptr);
+  }
+}
+
+Status Aggregator::MergePartial(std::string_view data,
+                                const rdf::Dictionary& dict) {
+  Aggregator partial(func_, /*distinct=*/false, std::string());
+  RAPIDA_RETURN_IF_ERROR(partial.ParsePartial(data));
+  Merge(partial, dict);
+  return Status::OK();
+}
+
+Status Aggregator::ParsePartial(std::string_view data) {
   std::string_view parts[7];
   FieldTokenizer fields(data, ',');
   size_t n = 0;
@@ -182,7 +185,6 @@ StatusOr<Aggregator> Aggregator::DeserializePartial(AggFunc func,
   if (n != 7) {
     return Status::ParseError("bad partial aggregate: " + std::string(data));
   }
-  Aggregator agg(func, /*distinct=*/false, std::move(separator));
   int64_t count = 0, has = 0, mn = 0, mx = 0, smp = 0;
   double sum = 0;
   if (!ParseInt64(parts[0], &count) || !ParseDouble(parts[1], &sum) ||
@@ -190,12 +192,12 @@ StatusOr<Aggregator> Aggregator::DeserializePartial(AggFunc func,
       !ParseInt64(parts[4], &mx) || !ParseInt64(parts[5], &smp)) {
     return Status::ParseError("bad partial aggregate: " + std::string(data));
   }
-  agg.count_ = static_cast<uint64_t>(count);
-  agg.sum_ = sum;
-  agg.has_minmax_ = has != 0;
-  agg.min_term_ = static_cast<rdf::TermId>(mn);
-  agg.max_term_ = static_cast<rdf::TermId>(mx);
-  agg.sample_ = static_cast<rdf::TermId>(smp);
+  count_ = static_cast<uint64_t>(count);
+  sum_ = sum;
+  has_minmax_ = has != 0;
+  min_term_ = static_cast<rdf::TermId>(mn);
+  max_term_ = static_cast<rdf::TermId>(mx);
+  sample_ = static_cast<rdf::TermId>(smp);
   if (!parts[6].empty()) {
     FieldTokenizer ids(parts[6], ':');
     std::string_view id_text;
@@ -205,10 +207,10 @@ StatusOr<Aggregator> Aggregator::DeserializePartial(AggFunc func,
         return Status::ParseError("bad partial aggregate: " +
                                   std::string(data));
       }
-      agg.concat_values_.push_back(static_cast<rdf::TermId>(id));
+      concat_values_.push_back(static_cast<rdf::TermId>(id));
     }
   }
-  return agg;
+  return Status::OK();
 }
 
 }  // namespace rapida::analytics

@@ -56,18 +56,26 @@ class Aggregator {
   /// COUNT -> 0, SUM -> 0, AVG -> 0, MIN/MAX -> unbound.
   rdf::TermId Finalize(rdf::Dictionary* dict) const;
 
-  /// Serialized partial state for shuffle
-  /// ("count,sum,has,min,max,sample,concat-ids").
-  std::string SerializePartial() const;
-  static StatusOr<Aggregator> DeserializePartial(sparql::AggFunc func,
-                                                 std::string_view data,
-                                                 std::string separator = " ");
+  /// Restores the freshly constructed state (same function, DISTINCT flag
+  /// and separator) but keeps buffer capacity, so a reduce task reuses one
+  /// aggregator row across its key groups.
+  void Reset();
+
+  /// Appends the partial state for shuffle
+  /// ("count,sum,has,min,max,sample,concat-ids") to `out`.
+  void AppendPartial(std::string* out) const;
+  /// Merges a partial state in AppendPartial's format (same function; a
+  /// fresh aggregator thereby deserializes it). Malformed data is a
+  /// ParseError and leaves the state unchanged.
+  Status MergePartial(std::string_view data, const rdf::Dictionary& dict);
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
 
  private:
   void CacheMinMaxNums(const rdf::Dictionary& dict);
+  /// Fills a fresh aggregator from AppendPartial's bytes.
+  Status ParsePartial(std::string_view data);
 
   sparql::AggFunc func_;
   bool distinct_;
@@ -77,7 +85,7 @@ class Aggregator {
   rdf::TermId min_term_ = rdf::kInvalidTermId;
   rdf::TermId max_term_ = rdf::kInvalidTermId;
   /// Dictionary::AsNumber of min_term_ / max_term_, valid when
-  /// minmax_nums_known_ (filled lazily after DeserializePartial), so a
+  /// minmax_nums_known_ (filled lazily after MergePartial), so a
   /// numeric AddTerm costs one dictionary read instead of CompareTerms'.
   std::optional<double> min_num_, max_num_;
   bool minmax_nums_known_ = false;

@@ -16,10 +16,15 @@ rdf::TermId InternNumber(rdf::Dictionary* dict, double value) {
 
 int CompareTerms(const rdf::Dictionary& dict, rdf::TermId a, rdf::TermId b) {
   if (a == b) return 0;
+  return CompareTermsWithNums(dict, a, dict.AsNumber(a), b, dict.AsNumber(b));
+}
+
+int CompareTermsWithNums(const rdf::Dictionary& dict, rdf::TermId a,
+                         const std::optional<double>& na, rdf::TermId b,
+                         const std::optional<double>& nb) {
+  if (a == b) return 0;
   if (a == rdf::kInvalidTermId) return -1;
   if (b == rdf::kInvalidTermId) return 1;
-  auto na = dict.AsNumber(a);
-  auto nb = dict.AsNumber(b);
   if (na.has_value() && nb.has_value()) {
     if (*na < *nb) return -1;
     if (*na > *nb) return 1;

@@ -1,6 +1,7 @@
 #ifndef RAPIDA_ANALYTICS_VALUE_H_
 #define RAPIDA_ANALYTICS_VALUE_H_
 
+#include <optional>
 #include <string>
 
 #include "rdf/dictionary.h"
@@ -17,6 +18,13 @@ rdf::TermId InternNumber(rdf::Dictionary* dict, double value);
 /// numeric literals compare numerically, otherwise compare (kind, text).
 /// Returns <0, 0, >0.
 int CompareTerms(const rdf::Dictionary& dict, rdf::TermId a, rdf::TermId b);
+
+/// CompareTerms given na = AsNumber(a) and nb = AsNumber(b), as a caller
+/// that caches them (MIN/MAX) already holds: two numbers compare without a
+/// dictionary read, anything else with one Get per side.
+int CompareTermsWithNums(const rdf::Dictionary& dict, rdf::TermId a,
+                         const std::optional<double>& na, rdf::TermId b,
+                         const std::optional<double>& nb);
 
 /// Display form of a term for result printing: IRIs shortened to their
 /// local name, literals as their lexical value.

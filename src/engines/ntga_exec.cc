@@ -4,6 +4,7 @@
 #include <set>
 
 #include "analytics/aggregates.h"
+#include "engines/partial_agg.h"
 #include "mapreduce/kernels.h"
 #include "util/string_util.h"
 
@@ -83,17 +84,9 @@ struct AlphaReduceScratch {
   std::string buf;
 };
 
-/// Insertion-ordered multiAggMap for the TG_AggJoin map: HashIndex over
-/// the encoded "gid#grpkey" string, dense side tables.
-struct MultiAggTable {
-  mr::kernels::HashIndex index;
-  std::vector<std::string> keys;
-  std::vector<std::vector<Aggregator>> agg_rows;
-};
-
 /// Per-map-task scratch of the TG_AggJoin and expand maps.
 struct MatchMapScratch {
-  MultiAggTable table;  // Agg-Join partial aggregation (Alg. 3)
+  PartialAggTable table;  // multiAggMap over "gid#grpkey" (Alg. 3)
   std::string text;
   std::vector<std::string_view> stars;
   ntga::SlotBindings::Values values;
@@ -416,12 +409,13 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     }
 
     // Variable positions within each grouping's pattern_vars, resolved
-    // once per job (-1: not bound there, or COUNT(*)).
+    // once per job (-1: not bound there, or COUNT(*)); indexed by gid.
     struct GroupingPlan {
       std::vector<int> group_pos;
-      std::vector<int> agg_pos;
+      AggColumns aggs;
     };
-    auto plans = std::make_shared<std::vector<GroupingPlan>>();
+    auto plans =
+        std::make_shared<std::vector<GroupingPlan>>(groupings.size());
     std::vector<std::vector<std::string>> var_lists;
     std::vector<ntga::AlphaCondition> alphas;
     for (int g : batches[b]) {
@@ -432,12 +426,13 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
         }
         return -1;
       };
-      GroupingPlan& plan = plans->emplace_back();
+      GroupingPlan& plan = (*plans)[g];
       for (const std::string& v : grouping.spec.group_vars) {
         plan.group_pos.push_back(pos_of(v));
       }
       for (const ntga::AggSpec& a : grouping.spec.aggs) {
-        plan.agg_pos.push_back(a.count_star ? -1 : pos_of(a.var));
+        plan.aggs.Add(a.func, a.count_star, a.separator,
+                      a.count_star ? -1 : pos_of(a.var));
       }
       var_lists.push_back(grouping.pattern_vars);
       alphas.push_back(grouping.spec.alpha);
@@ -461,7 +456,7 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
       for (size_t bi = 0; bi < batch->size(); ++bi) {
         const int g = (*batch)[bi];
         const NtgaGrouping& grouping = (*shared_groupings)[g];
-        const GroupingPlan& plan = (*plans)[bi];
+        const GroupingPlan& plan = (*plans)[g];
         if (!slots->Satisfies(bi, s->values)) continue;
         slots->Expand(bi, s->values, /*skip_unbound=*/true, &s->exp);
         for (size_t row = 0; row < s->exp.num_rows; ++row) {
@@ -480,37 +475,11 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
                 &s->key_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
           }
           if (partial) {
-            MultiAggTable& table = s->table;
-            auto [id, inserted] = table.index.FindOrInsert(
-                mr::HashKey(s->key_buf),
-                static_cast<uint32_t>(table.keys.size()),
-                [&](uint32_t cand) { return table.keys[cand] == s->key_buf; });
-            if (inserted) {
-              table.keys.push_back(s->key_buf);
-              table.agg_rows.emplace_back();
-              for (const ntga::AggSpec& a : grouping.spec.aggs) {
-                table.agg_rows.back().emplace_back(a.func, false,
-                                                   a.separator);
-              }
-            }
-            std::vector<Aggregator>& aggs = table.agg_rows[id];
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              const int i = plan.agg_pos[a];
-              if (grouping.spec.aggs[a].count_star) {
-                aggs[a].AddRow();
-              } else {
-                aggs[a].AddTerm(i < 0 ? rdf::kInvalidTermId : mapping[i],
-                                *dict);
-              }
-            }
+            plan.aggs.AddCells(mapping, s->table.Row(s->key_buf, plan.aggs),
+                               *dict);
           } else {
-            s->val_buf.assign("R|");
-            for (size_t a = 0; a < plan.agg_pos.size(); ++a) {
-              if (a > 0) s->val_buf += ',';
-              const int i = plan.agg_pos[a];
-              mr::kernels::AppendDecimal(
-                  &s->val_buf, i < 0 ? rdf::kInvalidTermId : mapping[i]);
-            }
+            s->val_buf.clear();
+            plan.aggs.AppendRaw(mapping, &s->val_buf);
             ctx->Emit(s->key_buf, s->val_buf);
           }
         }
@@ -518,65 +487,27 @@ StatusOr<std::vector<analytics::BindingTable>> NtgaExec::RunAggJoins(
     };
     if (partial) {
       job.map_finish = [](mr::MapContext* ctx) {
-        MultiAggTable& table = ctx->TaskState<MatchMapScratch>()->table;
-        std::string value;
-        for (size_t id = 0; id < table.keys.size(); ++id) {
-          value.assign("P");
-          for (const Aggregator& a : table.agg_rows[id]) {
-            value += '|';
-            value += a.SerializePartial();
-          }
-          ctx->Emit(table.keys[id], value);
-        }
+        MatchMapScratch* s = ctx->TaskState<MatchMapScratch>();
+        s->table.Flush(ctx, &s->val_buf);
       };
     }
 
-    job.reduce = [shared_groupings, dict](std::string_view key,
-                                          const mr::ValueSpan& values,
-                                          mr::ReduceContext* ctx) {
-      // Scratch is reused across key groups; the aggregator list itself
-      // resets per group.
-      struct Scratch {
-        std::vector<rdf::TermId> args, row;
-        std::string val_buf;
-      };
-      Scratch* s = ctx->TaskState<Scratch>();
+    job.reduce = [plans, dict](std::string_view key,
+                               const mr::ValueSpan& values,
+                               mr::ReduceContext* ctx) {
       size_t hash_pos = key.find('#');
       if (hash_pos == std::string_view::npos) return;
       int64_t gid = 0;
-      ParseInt64(key.substr(0, hash_pos), &gid);
-      const NtgaGrouping& grouping = (*shared_groupings)[gid];
-      std::vector<Aggregator> aggs;
-      for (const ntga::AggSpec& a : grouping.spec.aggs) {
-        aggs.emplace_back(a.func, false, a.separator);
+      if (!ParseInt64(key.substr(0, hash_pos), &gid) || gid < 0 ||
+          static_cast<size_t>(gid) >= plans->size()) {
+        return;
       }
-      for (std::string_view v : values) {
-        if (v.empty()) continue;
-        if (v[0] == 'P') {
-          FieldTokenizer parts(v, '|');
-          std::string_view part;
-          parts.Next(&part);  // the "P" marker
-          for (size_t a = 0; a < aggs.size() && parts.Next(&part); ++a) {
-            auto partial = Aggregator::DeserializePartial(
-                grouping.spec.aggs[a].func, part,
-                grouping.spec.aggs[a].separator);
-            if (partial.ok()) aggs[a].Merge(*partial, *dict);
-          }
-        } else if (v[0] == 'R') {
-          DecodeRowInto(v.substr(2), &s->args);
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            if (grouping.spec.aggs[a].count_star) {
-              aggs[a].AddRow();
-            } else if (a < s->args.size()) {
-              aggs[a].AddTerm(s->args[a], *dict);
-            }
-          }
-        }
-      }
-      DecodeRowInto(key.substr(hash_pos + 1), &s->row);
-      for (Aggregator& a : aggs) s->row.push_back(a.Finalize(dict));
+      AggReduceScratch* s = ctx->TaskState<AggReduceScratch>();
+      (*plans)[static_cast<size_t>(gid)].aggs.Fold(values, *dict, s);
+      DecodeRowInto(key.substr(hash_pos + 1), &s->out_row);
+      for (Aggregator& a : s->row) s->out_row.push_back(a.Finalize(dict));
       s->val_buf.clear();
-      AppendRow(&s->val_buf, s->row);
+      AppendRow(&s->val_buf, s->out_row);
       ctx->Emit(key.substr(0, hash_pos), s->val_buf);
     };
 

@@ -7,6 +7,7 @@
 
 #include "analytics/aggregates.h"
 #include "analytics/value.h"
+#include "engines/partial_agg.h"
 #include "mapreduce/kernels.h"
 #include "sparql/expr_eval.h"
 #include "util/logging.h"
@@ -1071,41 +1072,13 @@ StatusOr<TableRef> RelationalOps::UnionAll(
 
 namespace {
 
-std::vector<Aggregator> MakeAggregators(
-    const std::vector<RelationalOps::AggColumn>& specs) {
-  std::vector<Aggregator> aggs;
-  aggs.reserve(specs.size());
-  for (const RelationalOps::AggColumn& a : specs) {
-    aggs.emplace_back(a.func, /*distinct=*/false, a.separator);
-  }
-  return aggs;
-}
-
-/// GroupBy map scratch. The partial-aggregation table is an insertion-
-/// ordered open-addressing index (HashIndex over the encoded group key)
-/// with the keys and aggregator rows in dense-id order; the weighted path
-/// adds each factor's decoded cells (row-major) and the odometer over the
-/// key-bearing factors.
+/// GroupBy map scratch: the partial-aggregation table, plus, on the
+/// weighted path, each factor's decoded cells (row-major) and the odometer
+/// over the key-bearing factors.
 struct GroupMapScratch : RowScratch {
-  mr::kernels::HashIndex index;
-  std::vector<std::string> keys;
-  std::vector<std::vector<Aggregator>> agg_rows;
+  PartialAggTable table;
   std::vector<std::vector<rdf::TermId>> factor_cells;
   std::vector<size_t> idx;
-
-  /// The aggregator row of the group key in `key_buf`, created on first
-  /// sight.
-  std::vector<Aggregator>& Partial(
-      const std::vector<RelationalOps::AggColumn>& specs) {
-    auto [id, inserted] = index.FindOrInsert(
-        mr::HashKey(key_buf), static_cast<uint32_t>(keys.size()),
-        [this](uint32_t cand) { return keys[cand] == key_buf; });
-    if (inserted) {
-      keys.push_back(key_buf);
-      agg_rows.push_back(MakeAggregators(specs));
-    }
-    return agg_rows[id];
-  }
 };
 
 /// Static plan of the weighted GroupBy over a factorized input: where each
@@ -1154,7 +1127,11 @@ StatusOr<TableRef> RelationalOps::GroupBy(
   for (const AggColumn& a : aggs) out.columns.push_back(a.output_name);
 
   rdf::Dictionary* dict = &dataset_->dict();
-  auto agg_specs = std::make_shared<std::vector<AggColumn>>(aggs);
+  auto agg_cols = std::make_shared<AggColumns>();
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    agg_cols->Add(aggs[a].func, aggs[a].count_star, aggs[a].separator,
+                  agg_idx[a]);
+  }
 
   mr::JobConfig job;
   job.name = name_hint;
@@ -1190,7 +1167,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
       plan->digit[f] = static_cast<int>(plan->efactors.size());
       plan->efactors.push_back(f);
     }
-    job.map = [plan, key_idx, agg_idx, agg_specs, dict](
+    job.map = [plan, key_idx, agg_idx, agg_cols, dict](
                   const mr::Record& r, int, mr::MapContext* ctx) {
       const Factorization& spec = *plan->spec;
       GroupMapScratch* s = ctx->TaskState<GroupMapScratch>();
@@ -1232,7 +1209,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
           if (k > 0) s->key_buf += ',';
           mr::kernels::AppendDecimal(&s->key_buf, cell_at(key_idx[k]));
         }
-        std::vector<Aggregator>& agg_list = s->Partial(*agg_specs);
+        Aggregator* agg_list = s->table.Row(s->key_buf, *agg_cols);
         for (size_t a = 0; a < agg_idx.size(); ++a) {
           if (agg_idx[a] < 0) {
             agg_list[a].AddRowWeighted(mult);
@@ -1270,7 +1247,7 @@ StatusOr<TableRef> RelationalOps::GroupBy(
     // relational analogue of Alg. 3's multiAggMap); otherwise one
     // "R|args" record per row, aggregated reduce-side.
     FactorizationPtr spec = input.factor;
-    job.map = [spec, key_idx, agg_idx, agg_specs, dict, partial](
+    job.map = [spec, key_idx, agg_cols, dict, partial](
                   const mr::Record& r, int, mr::MapContext* ctx) {
       GroupMapScratch* s = ctx->TaskState<GroupMapScratch>();
       ForEachRecordRow(
@@ -1278,81 +1255,30 @@ StatusOr<TableRef> RelationalOps::GroupBy(
             s->key_buf.clear();
             AppendProjection(&s->key_buf, row, key_idx);
             if (partial) {
-              std::vector<Aggregator>& agg_list = s->Partial(*agg_specs);
-              for (size_t a = 0; a < agg_idx.size(); ++a) {
-                if (agg_idx[a] < 0) {
-                  agg_list[a].AddRow();
-                } else {
-                  agg_list[a].AddTerm(row[static_cast<size_t>(agg_idx[a])],
-                                      *dict);
-                }
-              }
+              agg_cols->AddCells(row.data(),
+                                 s->table.Row(s->key_buf, *agg_cols), *dict);
               return;
             }
-            s->val_buf.assign("R|");
-            for (size_t a = 0; a < agg_idx.size(); ++a) {
-              if (a > 0) s->val_buf += ',';
-              mr::kernels::AppendDecimal(
-                  &s->val_buf, agg_idx[a] < 0
-                                   ? rdf::kInvalidTermId
-                                   : row[static_cast<size_t>(agg_idx[a])]);
-            }
+            s->val_buf.clear();
+            agg_cols->AppendRaw(row.data(), &s->val_buf);
             ctx->Emit(s->key_buf, s->val_buf);
           });
     };
   }
   if (partial) {
-    // Map.clean(): flush the task's partial table in insertion order —
-    // group keys are unique within a task and the shuffle sorts by key, so
-    // flush order never reaches the output.
     job.map_finish = [](mr::MapContext* ctx) {
       GroupMapScratch* s = ctx->TaskState<GroupMapScratch>();
-      for (size_t id = 0; id < s->keys.size(); ++id) {
-        s->val_buf.assign("P");
-        for (const Aggregator& a : s->agg_rows[id]) {
-          s->val_buf += '|';
-          s->val_buf += a.SerializePartial();
-        }
-        ctx->Emit(s->keys[id], s->val_buf);
-      }
+      s->table.Flush(ctx, &s->val_buf);
     };
   }
 
-  job.reduce = [agg_specs, dict, having](
-                   std::string_view key, const mr::ValueSpan& values,
-                   mr::ReduceContext* ctx) {
-    // Per-task scratch (args/out_row/val_buf) is reused across key groups;
-    // the aggregator list itself resets per group.
-    struct Scratch {
-      std::vector<rdf::TermId> args, out_row;
-      std::string val_buf;
-    };
-    Scratch* s = ctx->TaskState<Scratch>();
-    std::vector<Aggregator> agg_list = MakeAggregators(*agg_specs);
-    for (std::string_view v : values) {
-      if (v.empty()) continue;
-      if (v[0] == 'P') {
-        FieldTokenizer parts(v, '|');
-        std::string_view part;
-        parts.Next(&part);  // the "P" marker
-        for (size_t a = 0; a < agg_list.size() && parts.Next(&part); ++a) {
-          auto partial = Aggregator::DeserializePartial(
-              (*agg_specs)[a].func, part, (*agg_specs)[a].separator);
-          if (partial.ok()) agg_list[a].Merge(*partial, *dict);
-        }
-      } else if (v[0] == 'R') {
-        DecodeRowInto(v.substr(2), &s->args);
-        for (size_t a = 0; a < agg_list.size() && a < s->args.size(); ++a) {
-          if ((*agg_specs)[a].count_star) {
-            agg_list[a].AddRow();
-          } else {
-            agg_list[a].AddTerm(s->args[a], *dict);
-          }
-        }
-      }
-    }
+  job.reduce = [agg_cols, dict, having](std::string_view key,
+                                        const mr::ValueSpan& values,
+                                        mr::ReduceContext* ctx) {
+    AggReduceScratch* s = ctx->TaskState<AggReduceScratch>();
+    agg_cols->Fold(values, *dict, s);
     DecodeRowInto(key, &s->out_row);
-    for (Aggregator& a : agg_list) s->out_row.push_back(a.Finalize(dict));
+    for (Aggregator& a : s->row) s->out_row.push_back(a.Finalize(dict));
     if (having != nullptr && !having(s->out_row)) return;
     s->val_buf.clear();
     AppendRow(&s->val_buf, s->out_row);

@@ -13,9 +13,62 @@ namespace {
 
 using sparql::AggFunc;
 
+/// CompareTerms as first defined (two AsNumber reads, then two Get reads):
+/// the oracle the cached-number comparison must agree with.
+int OracleCompare(const rdf::Dictionary& dict, rdf::TermId a, rdf::TermId b) {
+  if (a == b) return 0;
+  if (a == rdf::kInvalidTermId) return -1;
+  if (b == rdf::kInvalidTermId) return 1;
+  auto na = dict.AsNumber(a);
+  auto nb = dict.AsNumber(b);
+  if (na.has_value() && nb.has_value()) {
+    if (*na < *nb) return -1;
+    if (*na > *nb) return 1;
+    return 0;
+  }
+  const rdf::Term& ta = dict.Get(a);
+  const rdf::Term& tb = dict.Get(b);
+  if (ta.kind != tb.kind) {
+    return static_cast<int>(ta.kind) < static_cast<int>(tb.kind) ? -1 : 1;
+  }
+  int c = ta.text.compare(tb.text);
+  if (c != 0) return c;
+  return ta.datatype.compare(tb.datatype);
+}
+
+int Sign(int c) { return (c > 0) - (c < 0); }
+
+std::string Partial(const Aggregator& agg) {
+  std::string out;
+  agg.AppendPartial(&out);
+  return out;
+}
+
 class AggregatesTest : public ::testing::Test {
  protected:
   double Num(rdf::TermId id) { return *dict_.AsNumber(id); }
+  /// Numeric (integer, plain and typed), IRI, plain-literal,
+  /// typed-literal, blank and unbound terms, with equal texts across kinds
+  /// and datatypes so every tie-break is reached.
+  std::vector<rdf::TermId> MixedPool() {
+    return {
+        dict_.InternInt(5),
+        dict_.InternLiteral("5.0"),
+        dict_.InternInt(-3),
+        dict_.InternLiteral("2.5", rdf::kXsdDouble),
+        dict_.InternLiteral("10"),
+        dict_.InternIri("http://x/a"),
+        dict_.InternIri("http://x/b"),
+        dict_.InternIri("apple"),
+        dict_.InternLiteral("apple"),
+        dict_.InternLiteral("apple", "http://x/type"),
+        dict_.InternLiteral("apple", "http://x/other"),
+        dict_.InternLiteral("zebra"),
+        dict_.Intern(rdf::Term::Blank("apple")),
+        dict_.InternInt(40),
+        rdf::kInvalidTermId,
+    };
+  }
   rdf::Dictionary dict_;
 };
 
@@ -109,23 +162,48 @@ TEST_F(AggregatesTest, MergeEqualsSingleAccumulation) {
   }
 }
 
-TEST_F(AggregatesTest, SerializePartialRoundTrip) {
+TEST_F(AggregatesTest, AppendPartialRoundTrip) {
   Aggregator agg(AggFunc::kSum, false);
   agg.AddTerm(dict_.InternInt(4), dict_);
   agg.AddTerm(dict_.InternInt(8), dict_);
-  std::string data = agg.SerializePartial();
-  auto restored = Aggregator::DeserializePartial(AggFunc::kSum, data);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->count(), 2u);
-  EXPECT_DOUBLE_EQ(restored->sum(), 12.0);
-  EXPECT_EQ(restored->Finalize(&dict_), agg.Finalize(&dict_));
+  std::string data = Partial(agg);
+  Aggregator restored(AggFunc::kSum, false);
+  ASSERT_TRUE(restored.MergePartial(data, dict_).ok());
+  EXPECT_EQ(restored.count(), 2u);
+  EXPECT_DOUBLE_EQ(restored.sum(), 12.0);
+  EXPECT_EQ(restored.Finalize(&dict_), agg.Finalize(&dict_));
 }
 
-TEST_F(AggregatesTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(Aggregator::DeserializePartial(AggFunc::kSum, "junk").ok());
-  EXPECT_FALSE(Aggregator::DeserializePartial(AggFunc::kSum, "1,2").ok());
-  EXPECT_FALSE(
-      Aggregator::DeserializePartial(AggFunc::kSum, "a,b,c,d,e").ok());
+TEST_F(AggregatesTest, ResetRestoresFreshState) {
+  const std::vector<rdf::TermId> pool = MixedPool();
+  for (AggFunc f : {AggFunc::kCount, AggFunc::kSum, AggFunc::kAvg,
+                    AggFunc::kMin, AggFunc::kMax, AggFunc::kSample,
+                    AggFunc::kGroupConcat}) {
+    Aggregator reused(f, false, ";");
+    for (rdf::TermId v : pool) reused.AddTerm(v, dict_);
+    reused.AddRow();
+    reused.Reset();
+    EXPECT_EQ(Partial(reused), Partial(Aggregator(f, false, ";")));
+    Aggregator fresh(f, false, ";");
+    for (size_t i = 0; i < 4; ++i) {
+      reused.AddTerm(pool[i], dict_);
+      fresh.AddTerm(pool[i], dict_);
+    }
+    EXPECT_EQ(Partial(reused), Partial(fresh)) << static_cast<int>(f);
+    EXPECT_EQ(reused.Finalize(&dict_), fresh.Finalize(&dict_))
+        << static_cast<int>(f);
+  }
+}
+
+TEST_F(AggregatesTest, MergePartialRejectsGarbage) {
+  Aggregator agg(AggFunc::kSum, false);
+  agg.AddTerm(dict_.InternInt(4), dict_);
+  const std::string before = Partial(agg);
+  EXPECT_FALSE(agg.MergePartial("junk", dict_).ok());
+  EXPECT_FALSE(agg.MergePartial("1,2", dict_).ok());
+  EXPECT_FALSE(agg.MergePartial("a,b,c,d,e", dict_).ok());
+  EXPECT_FALSE(agg.MergePartial("1,2,1,3,3,3,x", dict_).ok());
+  EXPECT_EQ(Partial(agg), before);
 }
 
 TEST_F(AggregatesTest, InternNumberCanonicalization) {
@@ -144,18 +222,30 @@ TEST_F(AggregatesTest, CompareTermsNumericAware) {
   EXPECT_GT(CompareTerms(dict_, six, five_plain), 0);
 }
 
-// MIN/MAX over mixed numeric, IRI, literal and unbound values: the cached
-// numeric comparison must pick the same extremes as a CompareTerms fold,
-// through AddTerm, DeserializePartial and Merge alike, and the partial
-// state must serialize to the same bytes.
+// Every ordered pair of the mixed pool orders the same under the cached-
+// number comparison MIN/MAX uses, under CompareTerms, and under the
+// original two-reads-per-side definition.
+TEST_F(AggregatesTest, CompareTermsWithNumsMatchesCompareTerms) {
+  const std::vector<rdf::TermId> pool = MixedPool();
+  for (rdf::TermId a : pool) {
+    for (rdf::TermId b : pool) {
+      const int want = Sign(OracleCompare(dict_, a, b));
+      EXPECT_EQ(Sign(CompareTerms(dict_, a, b)), want) << a << " vs " << b;
+      EXPECT_EQ(Sign(CompareTermsWithNums(dict_, a, dict_.AsNumber(a), b,
+                                          dict_.AsNumber(b))),
+                want)
+          << a << " vs " << b;
+      EXPECT_EQ(Sign(OracleCompare(dict_, b, a)), -want) << a << " vs " << b;
+    }
+  }
+}
+
+// MIN/MAX/SAMPLE over mixed numeric, IRI, literal and unbound values: the
+// cached numeric comparison must pick the same extremes as a CompareTerms
+// fold, through AddTerm, MergePartial and Merge alike, and the
+// partial state must serialize to the same bytes.
 TEST_F(AggregatesTest, MinMaxCacheMatchesCompareTermsFold) {
-  std::vector<rdf::TermId> pool = {
-      dict_.InternInt(5),          dict_.InternLiteral("5.0"),
-      dict_.InternInt(-3),         dict_.InternLiteral("2.5", rdf::kXsdDouble),
-      dict_.InternIri("http://x/a"), dict_.InternIri("http://x/b"),
-      dict_.InternLiteral("apple"), dict_.InternLiteral("zebra"),
-      dict_.InternInt(40),         rdf::kInvalidTermId,
-  };
+  const std::vector<rdf::TermId> pool = MixedPool();
   uint64_t rng = 0x9e3779b97f4a7c15ull;
   auto next = [&rng] {
     rng ^= rng << 13;
@@ -167,7 +257,7 @@ TEST_F(AggregatesTest, MinMaxCacheMatchesCompareTermsFold) {
     std::vector<rdf::TermId> values(1 + next() % 12);
     for (rdf::TermId& v : values) v = pool[next() % pool.size()];
 
-    // The reference: CompareTerms folds and the SerializePartial layout
+    // The reference: CompareTerms folds and the AppendPartial layout
     // "count,sum,has,min,max,sample,concat".
     uint64_t count = 0;
     double sum = 0;
@@ -179,8 +269,8 @@ TEST_F(AggregatesTest, MinMaxCacheMatchesCompareTermsFold) {
       if (count++ == 0) {
         mn = mx = v;
       } else {
-        if (CompareTerms(dict_, v, mn) < 0) mn = v;
-        if (CompareTerms(dict_, v, mx) > 0) mx = v;
+        if (OracleCompare(dict_, v, mn) < 0) mn = v;
+        if (OracleCompare(dict_, v, mx) > 0) mx = v;
       }
       if (auto num = dict_.AsNumber(v)) sum += *num;
       if (sample == rdf::kInvalidTermId || v < sample) sample = v;
@@ -192,30 +282,31 @@ TEST_F(AggregatesTest, MinMaxCacheMatchesCompareTermsFold) {
                   static_cast<unsigned long long>(count), sum,
                   count > 0 ? 1 : 0, mn, mx, sample);
 
-    for (AggFunc f : {AggFunc::kMin, AggFunc::kMax, AggFunc::kGroupConcat}) {
+    for (AggFunc f : {AggFunc::kMin, AggFunc::kMax, AggFunc::kSample,
+                      AggFunc::kGroupConcat}) {
       const std::string expected =
           std::string(buf) + (f == AggFunc::kGroupConcat ? concat : "");
       Aggregator whole(f, false);
       for (rdf::TermId v : values) whole.AddTerm(v, dict_);
-      EXPECT_EQ(whole.SerializePartial(), expected);
+      EXPECT_EQ(Partial(whole), expected);
 
-      // Three contiguous parts: a live one, one rebuilt by
-      // DeserializePartial, and a live one merged into a rebuilt one.
+      // Three contiguous parts: a live one, one rebuilt by MergePartial
+      // into a fresh one, and a live one merged into a rebuilt one.
       const size_t cut1 = values.size() / 3, cut2 = 2 * values.size() / 3;
       Aggregator p0(f, false), p1(f, false), p2(f, false);
       for (size_t i = 0; i < values.size(); ++i) {
         (i < cut1 ? p0 : i < cut2 ? p1 : p2).AddTerm(values[i], dict_);
       }
-      auto r1 = Aggregator::DeserializePartial(f, p1.SerializePartial());
-      ASSERT_TRUE(r1.ok());
-      p0.Merge(*r1, dict_);
-      auto r0 = Aggregator::DeserializePartial(f, p0.SerializePartial());
-      ASSERT_TRUE(r0.ok());
-      r0->Merge(p2, dict_);
-      EXPECT_EQ(r0->SerializePartial(), expected);
-      EXPECT_EQ(r0->Finalize(&dict_), whole.Finalize(&dict_));
+      Aggregator r1(f, false), r0(f, false);
+      ASSERT_TRUE(r1.MergePartial(Partial(p1), dict_).ok());
+      p0.Merge(r1, dict_);
+      ASSERT_TRUE(r0.MergePartial(Partial(p0), dict_).ok());
+      r0.Merge(p2, dict_);
+      EXPECT_EQ(Partial(r0), expected);
+      EXPECT_EQ(r0.Finalize(&dict_), whole.Finalize(&dict_));
       if (f != AggFunc::kGroupConcat) {
-        EXPECT_EQ(whole.Finalize(&dict_), f == AggFunc::kMin ? mn : mx);
+        EXPECT_EQ(whole.Finalize(&dict_),
+                  f == AggFunc::kMin ? mn : f == AggFunc::kMax ? mx : sample);
       }
     }
   }

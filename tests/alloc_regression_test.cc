@@ -1,8 +1,8 @@
 // Allocation regression gate for the MapReduce hot path: a representative
 // shuffle+reduce job, a join-shaped job, a sharded relational join +
 // grouped aggregation, a factorized star join + weighted aggregation +
-// DISTINCT chain, and an NTGA α-join cycle must each stay below one heap
-// allocation per record.
+// DISTINCT chain, an NTGA α-join cycle and high-cardinality GROUP BY /
+// Agg-Join groupings must each stay below one heap allocation per record.
 // The columnar-store record representation makes the emit/shuffle/sort/
 // reduce loops allocation-free per record (buffer growth, task vectors and
 // thread bookkeeping amortize away), so the whole job costs O(tasks + keys)
@@ -427,6 +427,125 @@ TEST(AllocRegressionTest, NtgaAlphaJoinStaysUnderPerTriplegroupBudget) {
       << allocations << " allocations for " << kInputGroups
       << " input triplegroups)";
   exec.Cleanup();
+}
+
+// Same gate for grouped aggregation where almost every row opens a new
+// group (two rows per key, the shape of a desugared SELECT DISTINCT): a
+// flat COUNT GroupBy with partial aggregation off and on, and an NTGA
+// Agg-Join (Alg. 3) grouping of the same cardinality. The partial tables
+// keep keys and aggregator rows back to back in task scratch, the reduce
+// reuses one reset aggregator row per task, and finalizing a COUNT that is
+// already interned allocates nothing, so a new group costs no allocation.
+TEST(AllocRegressionTest, HighCardinalityGroupByStaysUnderPerRowBudget) {
+  constexpr int kRows = 20000;
+  constexpr int kKeys = 10000;
+  constexpr size_t kBudget = kRows / 4;
+  const std::string x = "http://example.org/";
+
+  engine::Dataset dataset{rdf::Graph()};
+  rdf::Dictionary& dict = dataset.dict();
+  RecordBatch rows;
+  for (int i = 0; i < kRows; ++i) {
+    rows.Add("", engine::EncodeRow(
+                     {dict.InternIri(x + "k" + std::to_string(i % kKeys)),
+                      dict.InternIri(x + "v" + std::to_string(i))}));
+  }
+  ASSERT_TRUE(dataset.dfs().Write("rows", std::move(rows)).ok());
+  engine::TableRef input;
+  input.file = "rows";
+  input.columns = {"k", "v"};
+  engine::RelationalOps::AggColumn count;
+  count.column = "v";
+  count.output_name = "n";
+
+  for (bool partial : {false, true}) {
+    Cluster cluster(ClusterConfig{}, &dataset.dfs());
+    engine::EngineOptions options;
+    options.partial_aggregation = partial;
+    engine::RelationalOps ops(&cluster, &dataset, options,
+                              partial ? "alloc-gb-partial" : "alloc-gb");
+    g_allocations.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_seq_cst);
+    auto grouped = ops.GroupBy("by_k", input, {"k"}, {count}, nullptr);
+    g_counting.store(false, std::memory_order_seq_cst);
+    ASSERT_TRUE(grouped.ok()) << grouped.status();
+    ASSERT_EQ(cluster.history().size(), 1u);
+    EXPECT_EQ(cluster.history()[0].output_records,
+              static_cast<uint64_t>(kKeys));
+
+    size_t allocations = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_LT(allocations, kBudget)
+        << "GroupBy regressed to per-group heap allocation (" << allocations
+        << " allocations for " << kRows << " rows, partial=" << partial
+        << ")";
+    ops.Cleanup();
+  }
+
+  // ?s g ?g, COUNT(?s) GROUP BY ?g: one star, so the Agg-Join map filters
+  // the raw triplegroups itself. Only the Agg-Join cycle is counted (from
+  // its setup phase to its completion), not the collection of its output
+  // into BindingTable rows.
+  rdf::Graph graph;
+  for (int i = 0; i < kRows; ++i) {
+    graph.AddIri(x + "s" + std::to_string(i), x + "g",
+                 x + "k" + std::to_string(i % kKeys));
+  }
+  engine::Dataset ntga_dataset(std::move(graph));
+  ASSERT_TRUE(ntga_dataset.EnsureTripleGroups().ok());
+  const ntga::DataPropKey g_key{ntga_dataset.dict().LookupIri(x + "g"),
+                                rdf::kInvalidTermId};
+  ntga::ResolvedPattern pattern;
+  pattern.type_id = ntga_dataset.type_id();
+  ntga::ResolvedStar star;
+  star.subject_var = "s";
+  star.triples = {{g_key, "g"}};
+  star.primary = {g_key};
+  pattern.stars = {star};
+  engine::NtgaGrouping grouping;
+  grouping.spec.group_vars = {"g"};
+  ntga::AggSpec count_s;
+  count_s.var = "s";
+  count_s.output_name = "n";
+  grouping.spec.aggs = {count_s};
+  grouping.pattern_vars = {"s", "g"};
+  grouping.output_columns = {"g", "n"};
+
+  struct CountJob : ClusterObserver {
+    Status OnPhase(const std::string&, const char* phase) override {
+      if (std::string_view(phase) == "setup") {
+        g_allocations.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_seq_cst);
+      }
+      return Status::OK();
+    }
+    void OnJobComplete(JobStats*) override {
+      g_counting.store(false, std::memory_order_seq_cst);
+    }
+  } count_job;
+  for (bool partial : {false, true}) {
+    Cluster cluster(ClusterConfig{}, &ntga_dataset.dfs());
+    cluster.SetObserver(&count_job);
+    engine::EngineOptions options;
+    options.partial_aggregation = partial;
+    engine::NtgaExec exec(&cluster, &ntga_dataset, options,
+                          partial ? "alloc-agj-partial" : "alloc-agj");
+    auto matches = exec.ComputePatternMatches(pattern, {}, {}, "agj");
+    ASSERT_TRUE(matches.ok()) << matches.status();
+    auto tables = exec.RunAggJoins(pattern, *matches, {}, {grouping},
+                                   /*parallel=*/false, "agj");
+    ASSERT_TRUE(tables.ok()) << tables.status();
+    ASSERT_EQ(cluster.history().size(), 1u);
+    EXPECT_EQ(cluster.history()[0].input_records,
+              static_cast<uint64_t>(kRows));
+    EXPECT_EQ((*tables)[0].NumRows(), static_cast<size_t>(kKeys));
+
+    size_t allocations = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_LT(allocations, kBudget)
+        << "Agg-Join regressed to per-group heap allocation (" << allocations
+        << " allocations for " << kRows << " rows, partial=" << partial
+        << ")";
+    exec.Cleanup();
+  }
 }
 
 }  // namespace

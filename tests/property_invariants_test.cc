@@ -293,10 +293,9 @@ TEST_P(AggregatorMergeSweep, AnyPartitioningMergesToSameResult) {
     analytics::Aggregator merged(f, false);
     while (!partial.empty()) {
       size_t pick = rng.Uniform(partial.size());
-      auto restored = analytics::Aggregator::DeserializePartial(
-          f, partial[pick].SerializePartial());
-      ASSERT_TRUE(restored.ok());
-      merged.Merge(*restored, dict);
+      std::string data;
+      partial[pick].AppendPartial(&data);
+      ASSERT_TRUE(merged.MergePartial(data, dict).ok());
       partial.erase(partial.begin() + pick);
     }
     EXPECT_EQ(merged.Finalize(&dict), whole.Finalize(&dict))

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/graph_index.h"
@@ -78,6 +85,86 @@ TEST(DictionaryTest, AsNumber) {
   EXPECT_FALSE(d.AsNumber(d.InternLiteral("abc")).has_value());
   EXPECT_FALSE(d.AsNumber(d.InternIri("42")).has_value());
   EXPECT_FALSE(d.AsNumber(kInvalidTermId).has_value());
+}
+
+// The term the concurrency tests intern as id i + 1: IRIs at even i,
+// integer literals at odd i.
+std::string ExpectedText(uint32_t i) {
+  return i % 2 == 0 ? "http://x/t" + std::to_string(i) : std::to_string(i);
+}
+
+TermId InternNth(Dictionary* d, uint32_t i) {
+  return i % 2 == 0 ? d->InternIri(ExpectedText(i)) : d->InternInt(i);
+}
+
+TEST(DictionaryTest, MovesKeepIdsAndTerms) {
+  constexpr uint32_t kTerms = 5000;  // past the first two segments
+  Dictionary d;
+  for (uint32_t i = 0; i < kTerms; ++i) ASSERT_EQ(InternNth(&d, i), i + 1);
+  Dictionary moved(std::move(d));
+  Dictionary assigned;
+  assigned.InternIri("http://x/dropped");
+  assigned = std::move(moved);
+  EXPECT_EQ(d.size(), 0u);
+  EXPECT_EQ(moved.size(), 0u);
+  ASSERT_EQ(assigned.size(), kTerms);
+  for (uint32_t i = 0; i < kTerms; ++i) {
+    EXPECT_EQ(assigned.Get(i + 1).text, ExpectedText(i));
+    EXPECT_EQ(assigned.AsNumber(i + 1).has_value(), i % 2 == 1);
+  }
+  EXPECT_FALSE(assigned.AsNumber(kTerms + 1).has_value());
+  EXPECT_EQ(assigned.InternInt(kTerms), kTerms + 1);
+}
+
+// Get/AsNumber/size take no lock: one writer interns 300,000 terms
+// (crossing eight segment boundaries) while three readers poll size() and
+// read every id up to what they saw. A reader must find each term fully
+// built — the text and number the writer interned for that id — and
+// size() never shrinking. Run under ThreadSanitizer in scripts/check.sh.
+TEST(DictionaryTest, ConcurrentInternAndRead) {
+  constexpr uint32_t kTerms = 300000;
+  Dictionary d;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> mismatches{0}, reads{0};
+  auto reader = [&](uint32_t seed) {
+    uint32_t last = 0;
+    uint64_t local_reads = 0, local_bad = 0;
+    uint32_t rng = seed;
+    for (bool finished = false; !finished;) {
+      finished = done.load(std::memory_order_acquire);
+      const uint32_t n = static_cast<uint32_t>(d.size());
+      if (n < last) ++local_bad;
+      // The newest ids (just published), then a random older one.
+      for (uint32_t id = n > 8 ? n - 8 : 1; id <= n; ++id) {
+        rng = rng * 1664525u + 1013904223u;
+        const uint32_t probe[2] = {id, 1 + rng % id};
+        for (uint32_t p : probe) {
+          const uint32_t i = p - 1;
+          if (d.Get(p).text != ExpectedText(i)) ++local_bad;
+          const std::optional<double> num = d.AsNumber(p);
+          if (num.has_value() != (i % 2 == 1) ||
+              (num.has_value() && *num != static_cast<double>(i))) {
+            ++local_bad;
+          }
+          ++local_reads;
+        }
+      }
+      last = n;
+    }
+    if (last != kTerms) ++local_bad;
+    reads.fetch_add(local_reads);
+    mismatches.fetch_add(local_bad);
+  };
+  std::vector<std::thread> readers;
+  for (uint32_t r = 0; r < 3; ++r) readers.emplace_back(reader, r + 1);
+  for (uint32_t i = 0; i < kTerms; ++i) {
+    if (InternNth(&d, i) != i + 1) mismatches.fetch_add(1);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(d.size(), kTerms);
 }
 
 TEST(GraphTest, AddAndCount) {
