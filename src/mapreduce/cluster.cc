@@ -84,12 +84,27 @@ struct TaggedRecord {
   int tag = 0;
 };
 
+/// Run-length home shards of a record sequence: the records from the
+/// previous run's end up to `end` live on `shard`.
+struct ShardRun {
+  size_t end = 0;
+  int shard = 0;
+};
+
+/// Extends `runs` so that the records up to `end` live on `shard`. A new
+/// run starts only when the shard changes, so one shard is one run.
+void ExtendRuns(std::vector<ShardRun>* runs, size_t end, int shard) {
+  if (!runs->empty() && runs->back().shard == shard) {
+    runs->back().end = end;
+  } else if (end > (runs->empty() ? 0 : runs->back().end)) {
+    runs->push_back(ShardRun{end, shard});
+  }
+}
+
 /// One mapper's private results, merged into JobStats at the map barrier.
 struct MapTaskResult {
   std::vector<Record> output;  // map-only jobs: this task's final records
-  /// Sharded map-only jobs: home shard of each `output` record (parallel
-  /// array), for per-shard output segments.
-  std::vector<int> output_homes;
+  std::vector<ShardRun> output_homes;  // map-only jobs: homes of `output`
   /// Columnar stores backing every record this task still exposes (its
   /// shuffle chunks or, for map-only jobs, `output`). Kept alive until
   /// the job's output is written.
@@ -98,8 +113,8 @@ struct MapTaskResult {
   uint64_t map_output_bytes = 0;
   uint64_t shuffle_records = 0;  // post-combine
   uint64_t shuffle_bytes = 0;
-  uint64_t shuffle_local_bytes = 0;  // sharded: stayed on home shard
-  uint64_t shuffle_cross_bytes = 0;  // sharded: crossed a channel edge
+  uint64_t shuffle_local_bytes = 0;  // home shard == owner shard
+  uint64_t shuffle_cross_bytes = 0;  // home shard != owner shard
   uint64_t factorized_groups = 0;     // groups emitted by map/map_finish
   uint64_t factorized_flat_rows = 0;  // flat rows those groups stand for
 };
@@ -116,16 +131,7 @@ struct ShufflePartition {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, Dfs* dfs)
-    : config_(config), dfs_(dfs) {
-  if (config_.num_shards > 1) {
-    shards_.reserve(static_cast<size_t>(config_.num_shards));
-    for (int s = 0; s < config_.num_shards; ++s) {
-      shards_.push_back(
-          std::make_unique<Shard>(s, config_.num_shards, config_.sharding));
-    }
-    channel_ = std::make_unique<ShardChannel>(config_.num_shards);
-  }
-}
+    : config_(config), dfs_(dfs) {}
 
 Cluster::~Cluster() = default;
 
@@ -145,14 +151,11 @@ util::ThreadPool* Cluster::pool() {
 void Cluster::ResetHistory() {
   std::lock_guard<std::mutex> lock(mu_);
   history_.clear();
-  for (auto& shard : shards_) shard->Reset();
-  if (channel_ != nullptr) channel_->Reset();
 }
 
 StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   RAPIDA_CHECK(job.map != nullptr) << "job '" << job.name << "' has no map fn";
-  const int S = config_.num_shards > 1 ? config_.num_shards : 1;
-  const bool sharded = S > 1;
+  const int S = std::max(config_.num_shards, 1);
   if (observer_ != nullptr) {
     RAPIDA_RETURN_IF_ERROR(observer_->OnPhase(job.name, "setup"));
   }
@@ -160,15 +163,15 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   JobStats stats;
   stats.name = job.name;
   stats.map_only = job.reduce == nullptr;
-  stats.num_shards = sharded ? S : 0;
-  if (sharded) stats.shard_output_bytes.assign(static_cast<size_t>(S), 0);
+  stats.num_shards = S;
+  stats.shard_output_bytes.assign(static_cast<size_t>(S), 0);
 
   // ---- read inputs & form splits ----
   // Each input file contributes ceil(stored/block) splits; records are
   // assigned to splits as contiguous chunks of their file (record i goes
   // to split base + i / per_split), which matches the "many mappers scan
   // disjoint blocks" behaviour closely enough for cost purposes while
-  // keeping execution deterministic. Sharding never changes split
+  // keeping execution deterministic. The shard count never changes split
   // formation — that is what keeps results byte-identical at any shard
   // count (per-task combiner state and emission order are untouched).
   struct Split {
@@ -196,54 +199,16 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
   if (splits.empty()) splits.resize(1);
   stats.num_mappers = static_cast<int>(splits.size());
 
-  // ---- sharded dispatch: assign each map task to the shard that homes
-  // the plurality of its records (lowest id wins ties), queue it there,
-  // and drain the per-shard queues into the dispatch order. Execution
-  // order of map tasks never affects results (each task's output is
-  // indexed by task, and shuffle chunks re-sort by task), so shard-local
-  // dispatch is free. ----
-  std::vector<int> task_shard;
-  std::vector<size_t> dispatch;
-  if (sharded) {
-    task_shard.resize(splits.size(), 0);
-    std::vector<uint64_t> votes(static_cast<size_t>(S));
-    for (size_t t = 0; t < splits.size(); ++t) {
-      std::fill(votes.begin(), votes.end(), 0);
-      for (const TaggedRecord& tr : splits[t].records) {
-        votes[static_cast<size_t>(AssignShard(tr.record->key_hash,
-                                              config_.sharding, S))]++;
-      }
-      int best = 0;
-      for (int s = 1; s < S; ++s) {
-        if (votes[static_cast<size_t>(s)] >
-            votes[static_cast<size_t>(best)]) {
-          best = s;
-        }
-      }
-      task_shard[t] = best;
-      shards_[static_cast<size_t>(best)]->EnqueueMapTask(t);
-    }
-    dispatch.reserve(splits.size());
-    for (int s = 0; s < S; ++s) {
-      while (auto t = shards_[static_cast<size_t>(s)]->DequeueMapTask()) {
-        dispatch.push_back(*t);
-      }
-    }
-  }
-
   util::ThreadPool* workers = pool();
-  // Shuffle partition count. Unsharded: one per executor so the reduce
-  // side can use the full pool. Sharded: one per shard — partition p IS
-  // shard p's reduce input, fed exclusively through the channel.
-  // hash(key) % R only decides which partition groups a key; outputs are
-  // re-merged into global key order below, so R never affects results or
-  // counters.
+  // Shuffle partitions: P per shard, one per executor, so the reduce side
+  // can use the full pool at any shard count. A key goes to partition
+  // OwnerShard(h, S) * P + (h / S) % P, so partition p belongs to shard
+  // p / P. Partition choice only decides which partition groups a key;
+  // outputs are re-merged into global key order below, so it never
+  // affects results or counters.
+  const size_t P = workers ? workers->num_threads() + 1 : 1;
   const size_t num_partitions =
-      stats.map_only
-          ? 0
-          : (sharded ? static_cast<size_t>(S)
-                     : static_cast<size_t>(
-                           workers ? workers->num_threads() + 1 : 1));
+      stats.map_only ? 0 : static_cast<size_t>(S) * P;
 
   // ---- map phase (+ optional combine, partitioning per mapper) ----
   // Mappers run concurrently. Each emits into a task-local buffer,
@@ -266,27 +231,25 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     auto map_store = std::make_shared<ColumnarRecords>();
     map_store->Reserve(split.records.size(), 0);
     ColumnarMapContext ctx(map_store.get());
-    // Sharded: home shard of each emitted record — the shard the producing
-    // input record lives on under the sharding scheme. The map fn is called
-    // once per record, so the emissions since the last call are exactly
-    // that record's. map_finish flushes (Map.clean()) belong to the task's
-    // shard: they are re-emissions of state that already lives where the
-    // mapper runs.
-    std::vector<int> emit_homes;
-    if (sharded) {
-      shards_[static_cast<size_t>(task_shard[task])]->CountMapTask();
-      emit_homes.reserve(split.records.size());
-    }
+    // An emitted record's home is the shard its producing input record
+    // lives on under the sharding scheme: the map fn is called once per
+    // record, so the emissions since the last call are exactly that
+    // record's. The task itself runs on the shard homing the plurality of
+    // its records (lowest id wins ties); map_finish flushes (Map.clean())
+    // and combined records are re-emissions of state that lives there.
+    std::vector<uint64_t> votes(static_cast<size_t>(S), 0);
+    std::vector<ShardRun> homes;
     for (const TaggedRecord& tr : split.records) {
+      const int home =
+          AssignShard(tr.record->key_hash, config_.sharding, S);
+      votes[static_cast<size_t>(home)]++;
       job.map(*tr.record, tr.tag, &ctx);
-      if (sharded && map_store->size() != emit_homes.size()) {
-        emit_homes.resize(map_store->size(),
-                          AssignShard(tr.record->key_hash, config_.sharding,
-                                      S));
-      }
+      ExtendRuns(&homes, map_store->size(), home);
     }
+    const int task_shard = static_cast<int>(
+        std::max_element(votes.begin(), votes.end()) - votes.begin());
     if (job.map_finish) job.map_finish(&ctx);
-    if (sharded) emit_homes.resize(map_store->size(), task_shard[task]);
+    ExtendRuns(&homes, map_store->size(), task_shard);
     result.map_output_records = map_store->size();
     result.map_output_bytes = ctx.bytes();
     result.factorized_groups = ctx.factorized_groups();
@@ -298,7 +261,7 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
 
     if (stats.map_only) {
       result.output = std::move(map_out);
-      result.output_homes = std::move(emit_homes);
+      result.output_homes = std::move(homes);
       result.stores.push_back(std::move(map_store));
       return;
     }
@@ -317,76 +280,43 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       map_out.reserve(combine_store->size());
       combine_store->AppendRecordViews(&map_out);
       map_store = std::move(combine_store);
-      // Combined records are task-level re-aggregations: they live on the
-      // mapper's shard.
-      if (sharded) emit_homes.assign(map_out.size(), task_shard[task]);
+      homes.clear();
+      ExtendRuns(&homes, map_out.size(), task_shard);
     }
     result.stores.push_back(std::move(map_store));
 
     // Scatter into per-partition buckets, then one locked append each.
     // Partition choice reuses the hash stamped at Emit — no per-record
-    // std::hash here — and never affects results or counters: outputs are
-    // re-merged into global key order below.
+    // std::hash here. Each record flows from its home shard to the shard
+    // owning its key; the byte stays local iff the two are the same.
     std::vector<std::vector<Record>> buckets(num_partitions);
-    if (sharded) {
-      // Each record flows from its home shard to the shard owning its
-      // key's reducer range; the channel is the only path into a shard's
-      // reduce input and accounts every (from -> to) edge.
-      std::vector<uint64_t> edge_bytes(static_cast<size_t>(S) * S, 0);
-      std::vector<uint64_t> edge_records(static_cast<size_t>(S) * S, 0);
-      for (size_t i = 0; i < map_out.size(); ++i) {
+    size_t begin = 0;
+    for (const ShardRun& run : homes) {
+      for (size_t i = begin; i < run.end; ++i) {
         const Record& r = map_out[i];
+        const int owner = OwnerShard(r.key_hash, S);
         result.shuffle_records += 1;
         result.shuffle_bytes += r.Bytes();
-        const int to = OwnerShard(r.key_hash, S);
-        const int from = emit_homes[i];
-        edge_bytes[static_cast<size_t>(from) * S + to] += r.Bytes();
-        edge_records[static_cast<size_t>(from) * S + to] += 1;
-        if (from == to) {
+        if (owner == run.shard) {
           result.shuffle_local_bytes += r.Bytes();
         } else {
           result.shuffle_cross_bytes += r.Bytes();
         }
-        buckets[static_cast<size_t>(to)].push_back(r);
-      }
-      std::vector<uint64_t> by_from_bytes(static_cast<size_t>(S));
-      std::vector<uint64_t> by_from_records(static_cast<size_t>(S));
-      for (int to = 0; to < S; ++to) {
-        std::vector<Record>& chunk = buckets[static_cast<size_t>(to)];
-        if (chunk.empty()) continue;
-        for (int from = 0; from < S; ++from) {
-          by_from_bytes[static_cast<size_t>(from)] =
-              edge_bytes[static_cast<size_t>(from) * S + to];
-          by_from_records[static_cast<size_t>(from)] =
-              edge_records[static_cast<size_t>(from) * S + to];
-        }
-        ShufflePartition& part = partitions[static_cast<size_t>(to)];
-        channel_->Deliver(to, by_from_bytes.data(), by_from_records.data(),
-                          [&part, task, &chunk] {
-                            std::lock_guard<std::mutex> lock(part.mu);
-                            part.num_records += chunk.size();
-                            part.chunks.emplace_back(task, std::move(chunk));
-                          });
-      }
-    } else {
-      for (const Record& r : map_out) {
-        result.shuffle_records += 1;
-        result.shuffle_bytes += r.Bytes();
-        size_t p = num_partitions == 1 ? 0 : r.key_hash % num_partitions;
+        const size_t p = static_cast<size_t>(owner) * P +
+                         (P == 1 ? 0 : (r.key_hash / S) % P);
         buckets[p].push_back(r);
       }
-      for (size_t p = 0; p < num_partitions; ++p) {
-        if (buckets[p].empty()) continue;
-        std::lock_guard<std::mutex> lock(partitions[p].mu);
-        partitions[p].num_records += buckets[p].size();
-        partitions[p].chunks.emplace_back(task, std::move(buckets[p]));
-      }
+      begin = run.end;
+    }
+    for (size_t p = 0; p < num_partitions; ++p) {
+      if (buckets[p].empty()) continue;
+      std::lock_guard<std::mutex> lock(partitions[p].mu);
+      partitions[p].num_records += buckets[p].size();
+      partitions[p].chunks.emplace_back(task, std::move(buckets[p]));
     }
   };
 
-  run_tasks(splits.size(), [&](size_t i) {
-    map_body(sharded ? dispatch[i] : i);
-  });
+  run_tasks(splits.size(), map_body);
 
   // ---- map barrier: merge per-task accumulators ----
   if (observer_ != nullptr && !stats.map_only) {
@@ -402,37 +332,23 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     stats.factorized_groups += r.factorized_groups;
     stats.factorized_flat_rows += r.factorized_flat_rows;
   }
-  if (!sharded) {
-    // One address space: every shuffled byte is a local hand-off. (The
-    // 10-node cost model still prices the simulated network; these
-    // counters say what crosses *shard* boundaries, and there are none.)
-    stats.shuffle_local_bytes = stats.shuffle_bytes;
-    stats.shuffle_cross_bytes = 0;
-  }
 
   std::vector<Record> output;
   std::vector<std::shared_ptr<ColumnarRecords>> output_stores;
-  // Sharded: owner shard of every output record (parallel to `output`) —
-  // map-only records stay on their home shard; reduce records belong to
-  // the shard whose reducers own the group key.
-  std::vector<int> output_owner;
+  // Owner shard of every output record: map-only records stay on their
+  // home shard; reduce records belong to the shard owning the group key.
+  std::vector<ShardRun> output_owners;
   if (stats.map_only) {
     // Map-only job: mapper outputs concatenate in split order; the output
     // adopts every task's columnar store.
-    stats.shuffle_records = 0;
-    stats.shuffle_bytes = 0;
-    stats.shuffle_local_bytes = 0;
-    stats.shuffle_cross_bytes = 0;
-    stats.num_reducers = 0;
     size_t total = 0;
     for (const MapTaskResult& r : task_results) total += r.output.size();
     output.reserve(total);
-    if (sharded) output_owner.reserve(total);
     for (MapTaskResult& r : task_results) {
+      const size_t base = output.size();
       output.insert(output.end(), r.output.begin(), r.output.end());
-      if (sharded) {
-        output_owner.insert(output_owner.end(), r.output_homes.begin(),
-                            r.output_homes.end());
+      for (const ShardRun& run : r.output_homes) {
+        ExtendRuns(&output_owners, base + run.end, run.shard);
       }
       for (auto& store : r.stores) output_stores.push_back(std::move(store));
     }
@@ -516,15 +432,11 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
       size_t total = 0;
       for (const auto& out : part_out) total += out.size();
       output.reserve(total);
-      if (sharded) output_owner.reserve(total);
       for (const ReducedGroup& g : all_groups) {
         output.insert(output.end(), part_out[g.part].begin() + g.begin,
                       part_out[g.part].begin() + g.end);
-        // Sharded: partition index IS the owning shard.
-        if (sharded) {
-          output_owner.insert(output_owner.end(), g.end - g.begin,
-                              static_cast<int>(g.part));
-        }
+        ExtendRuns(&output_owners, output.size(),
+                   static_cast<int>(g.part / P));
       }
       output_stores = std::move(part_stores);
     } else {
@@ -552,12 +464,8 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
         const GroupSpan& span = part_groups[best][next[best]++];
         job.reduce(part_records[best][span.begin].key,
                    SpanValues(part_records[best], span), &rctx);
-        // Sharded: everything this group emitted belongs to the owning
-        // partition's shard.
-        if (sharded) {
-          output_owner.resize(reduce_store->size(),
-                              static_cast<int>(best));
-        }
+        ExtendRuns(&output_owners, reduce_store->size(),
+                   static_cast<int>(best / P));
       }
       stats.factorized_groups += rctx.factorized_groups();
       stats.factorized_flat_rows += rctx.factorized_flat_rows();
@@ -567,42 +475,29 @@ StatusOr<JobStats> Cluster::Run(const JobConfig& job) {
     }
   }
 
+  // ---- output bytes, in total and per owning shard ----
   stats.output_records = output.size();
-  for (const Record& r : output) stats.output_bytes += r.Bytes();
-  if (job.output_options.compressed) {
-    stats.output_bytes = static_cast<uint64_t>(
-        static_cast<double>(stats.output_bytes) *
-        job.output_options.compression_ratio);
+  std::vector<uint64_t> shard_bytes(static_cast<size_t>(S), 0);
+  size_t begin = 0;
+  for (const ShardRun& run : output_owners) {
+    for (size_t i = begin; i < run.end; ++i) {
+      shard_bytes[static_cast<size_t>(run.shard)] += output[i].Bytes();
+    }
+    begin = run.end;
   }
+  auto stored_bytes = [&job](uint64_t bytes) {
+    if (!job.output_options.compressed) return bytes;
+    return static_cast<uint64_t>(static_cast<double>(bytes) *
+                                 job.output_options.compression_ratio);
+  };
+  uint64_t raw_output_bytes = 0;
+  for (uint64_t b : shard_bytes) raw_output_bytes += b;
+  stats.output_bytes = stored_bytes(raw_output_bytes);
 
   if (!job.output.empty()) {
-    // Sharded: before the coordinator write consumes `output`, carve the
-    // per-shard segments — each shard's private Dfs gets the records it
-    // owns, sharing the columnar stores (no byte copies).
-    if (sharded) {
-      for (int s = 0; s < S; ++s) {
-        RecordBatch segment;
-        uint64_t seg_bytes = 0;
-        for (size_t i = 0; i < output.size(); ++i) {
-          if (output_owner[i] != s) continue;
-          segment.records.push_back(output[i]);
-          seg_bytes += output[i].Bytes();
-        }
-        const uint64_t seg_records = segment.records.size();
-        if (seg_records == 0) continue;
-        segment.columns = output_stores;
-        Shard* shard = shards_[static_cast<size_t>(s)].get();
-        RAPIDA_RETURN_IF_ERROR(shard->dfs()->Write(
-            job.output, std::move(segment), job.output_options));
-        uint64_t stored = seg_bytes;
-        if (job.output_options.compressed) {
-          stored = static_cast<uint64_t>(
-              static_cast<double>(stored) *
-              job.output_options.compression_ratio);
-        }
-        stats.shard_output_bytes[static_cast<size_t>(s)] = stored;
-        shard->CountOutput(seg_records, stored);
-      }
+    for (int s = 0; s < S; ++s) {
+      stats.shard_output_bytes[static_cast<size_t>(s)] =
+          stored_bytes(shard_bytes[static_cast<size_t>(s)]);
     }
     RecordBatch batch;
     batch.records = std::move(output);
@@ -660,7 +555,7 @@ double Cluster::EstimateSimSeconds(const JobStats& stats) const {
                         ? 1
                         : std::max(config_.reduce_slots(), 1);
     if (config_.num_shards > 1) {
-      // Shard-aware shuffle pricing: only bytes that cross a channel edge
+      // Shard-aware shuffle pricing: only bytes that cross a shard boundary
       // pay the network rate; shard-local hand-offs move at disk speed.
       // Stats whose split doesn't reconcile (hand-built ablation stats)
       // conservatively price everything as crossing.

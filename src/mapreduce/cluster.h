@@ -9,7 +9,6 @@
 #include "mapreduce/counters.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/job.h"
-#include "mapreduce/shard.h"
 #include "mapreduce/sharding.h"
 #include "util/statusor.h"
 
@@ -64,18 +63,15 @@ struct ClusterConfig {
   /// amortized across active tasks.
   double cpu_us_per_record = 5.0;
 
-  /// Shards of the data plane. <= 1 keeps the legacy single-address-space
-  /// runtime bit-for-bit (one shared Dfs, every shuffle byte booked
-  /// local). > 1 turns the cluster into a coordinator over num_shards
-  /// Shard objects: map tasks are dispatched through per-shard queues, all
-  /// shuffle data moves through the ShardChannel (with per-edge local vs
-  /// cross-shard accounting), each shard keeps its private segment of
-  /// every job output, and the cost model prices the shards as the
-  /// cluster's nodes. Results are byte-identical to the unsharded path at
-  /// any shard x thread combination — sharding changes placement,
-  /// transport accounting and the cost model, never execution order.
-  int num_shards = 0;
-  /// How records are placed on shards (only meaningful when sharded).
+  /// Shards of the data plane; any value <= 1 means one shard. Every job
+  /// runs the same code at every shard count: a record's home shard comes
+  /// from the sharding scheme, a shuffle key's owner shard from its hash,
+  /// and each shuffled byte is booked local (home == owner) or cross.
+  /// Shards > 1 also price the shards as the cluster's nodes in the cost
+  /// model. Results are byte-identical at any shard x thread combination:
+  /// shards change accounting and the cost model, never execution order.
+  int num_shards = 1;
+  /// How records are placed on shards (no effect at one shard).
   ShardingScheme sharding = ShardingScheme::kHashSubject;
 
   int map_slots() const {
@@ -139,13 +135,6 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   Dfs* dfs() { return dfs_; }
 
-  /// Sharded data plane (empty accessors when num_shards <= 1).
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  Shard* shard(int i) { return shards_[i].get(); }
-  const Shard* shard(int i) const { return shards_[i].get(); }
-  ShardChannel* channel() { return channel_.get(); }
-  const ShardChannel* channel() const { return channel_.get(); }
-
   /// Attaches (or detaches, nullptr) the observer consulted by Run. Not
   /// owned; must outlive any in-flight job.
   void SetObserver(ClusterObserver* observer) { observer_ = observer; }
@@ -166,9 +155,6 @@ class Cluster {
   std::mutex mu_;  // guards history_ and lazy pool_ creation
   std::vector<JobStats> history_;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Populated iff config_.num_shards > 1.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ShardChannel> channel_;
 };
 
 }  // namespace rapida::mr

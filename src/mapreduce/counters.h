@@ -44,10 +44,11 @@ struct JobStats {
 
   int num_mappers = 0;
   int num_reducers = 0;
-  /// Shards the job executed across (0 = legacy unsharded data plane).
+  /// Shards the job executed across (1 when unsharded).
   int num_shards = 0;
-  /// Per-shard output segment bytes (empty when unsharded): index s is the
-  /// stored size of shard s's private segment of this job's output.
+  /// Stored output bytes per shard: index s sums the output records shard
+  /// s owns (map-only records by their home, reduce records by the owner
+  /// of their group key). All zero when the job writes no output file.
   std::vector<uint64_t> shard_output_bytes;
 
   double sim_seconds = 0;   // simulated wall time from the cost model

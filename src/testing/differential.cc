@@ -139,7 +139,7 @@ DiffFailure RunDifferential(const FuzzCase& c, const DiffOptions& opts) {
   };
   std::map<std::pair<std::string, int>, Baseline> baselines;
 
-  // Run matrix: the legacy unsharded data plane first (it is the
+  // Run matrix: the unsharded data plane (one shard) first (it is the
   // reference the sharded runs are held to), then every requested shard
   // count under both placement schemes.
   struct ShardConfig {
@@ -190,7 +190,7 @@ DiffFailure RunDifferential(const FuzzCase& c, const DiffOptions& opts) {
           return Fail("mismatch", run->name() + config_tag, threads, diff);
         }
         // Shuffle accounting must always reconcile: every shuffled byte is
-        // either a shard-local hand-off or a channel crossing.
+        // either a shard-local hand-off or a cross-shard transfer.
         for (const mr::JobStats& j : stats.workflow.jobs) {
           if (j.shuffle_local_bytes + j.shuffle_cross_bytes !=
               j.shuffle_bytes) {

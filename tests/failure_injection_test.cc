@@ -75,7 +75,7 @@ TEST(FailureInjectionTest, CorruptTriplegroupRecordsAreSkipped) {
     auto file = dataset.dfs().Open(f);
     ASSERT_TRUE(file.ok());
     // Copy the bytes out via the batch before Write replaces the file (and
-    // drops the arenas the old views point into).
+    // drops the columnar stores the old views point into).
     mr::RecordBatch batch;
     for (const mr::Record& r : (*file)->records) batch.Add(r.key, r.value);
     batch.Add("junk", "not-a-triplegroup");
